@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .config import PipelineConfig, Resources, load as load_config
 from .errors import PolyipaError
-from .ipa import convert_to_ipa, parse_ipa, strip_diacritics_tones
+from .ipa import _read_lines, _tsv_rows, convert_to_ipa, parse_ipa, strip_diacritics_tones
 from .lexicon import Lexicon, clean, extract_ipa_pairs, lang_script_tag, read_raw_tsv
 from .metrics import EvalItem, report_from_json, stratify
 from .mining import (
@@ -57,12 +57,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _read_lines(path: str) -> list[str]:
-    if path == "-":
-        return sys.stdin.read().splitlines()
-    return Path(path).read_text(encoding="utf-8").splitlines()
-
-
 def _write_lines(path: str, lines: list[str]) -> None:
     text = "".join(line + "\n" for line in lines)
     if path == "-":
@@ -72,9 +66,8 @@ def _write_lines(path: str, lines: list[str]) -> None:
 
 
 def _first_data_columns(path: str) -> int:
-    for line in _read_lines(path):
-        if line and not line.startswith("#"):
-            return len(line.split("\t"))
+    for _, fields in _tsv_rows(path):
+        return len(fields)
     return 0
 
 
@@ -209,25 +202,13 @@ def cmd_predict(args, cfg: PipelineConfig, res: Resources) -> int:
     if args.verbose:
         print(f"predict: beam width {effective_beam_width(n_best, beam_width)}",
               file=sys.stderr)
-    columns = _first_data_columns(args.input)
-    queries: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    if columns == 2:
-        for line in _read_lines(args.input):
-            if not line or line.startswith("#"):
-                continue
-            tag, ipa_text = line.split("\t")
-            if (tag, ipa_text) not in seen:
-                seen.add((tag, ipa_text))
-                queries.append((tag, ipa_text))
+    if _first_data_columns(args.input) == 2:
+        rows = _tsv_rows(args.input, 2, "tag<TAB>ipa")
+        keys = ((tag, ipa_text) for _, (tag, ipa_text) in rows)
     else:
         lex = Lexicon.read_tsv(args.input, res.inventory)
-        for entry in lex:
-            tag = lang_script_tag(entry, res.scripts)
-            key = (tag, entry.ipa.text)
-            if key not in seen:
-                seen.add(key)
-                queries.append(key)
+        keys = ((lang_script_tag(e, res.scripts), e.ipa.text) for e in lex)
+    queries = list(dict.fromkeys(keys))
     blocks = []
     for tag, ipa_text in queries:
         ipa = parse_ipa(ipa_text, res.inventory)

@@ -18,6 +18,7 @@ from .ipa import (
     IpaInventory,
     NotationChart,
     TranscriptionSystem,
+    _read_lines,
     default_chart,
     default_inventory,
 )
@@ -92,7 +93,7 @@ class PipelineConfig:
 def _parse_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = _read_lines(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for line_no, line in enumerate(lines, start=1):

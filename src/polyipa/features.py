@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BothEmptyError, EmptyStringError, UnknownSegmentError
-from .ipa import TIE_BARS, IpaSegment, IpaString, _read_lines
+from .ipa import TIE_BARS, IpaSegment, IpaString, _tsv_rows
 
 __all__ = [
     "FeatureTable",
@@ -75,15 +75,13 @@ class FeatureTable:
 
     @classmethod
     def from_file(cls, path) -> "FeatureTable":
-        names: list[str] | None = None
+        tsv = _tsv_rows(path)
+        header = next(tsv, None)
+        if header is None:
+            raise ValueError(f"{path}: missing header row")
+        names = header[1][1:]
         rows: dict[str, np.ndarray] = {}
-        for line_no, line in enumerate(_read_lines(path), start=1):
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if names is None:
-                names = parts[1:]
-                continue
+        for line_no, parts in tsv:
             if len(parts) != len(names) + 1:
                 raise ValueError(f"{path}: line {line_no}: expected {len(names) + 1} columns")
             try:
@@ -91,8 +89,6 @@ class FeatureTable:
             except KeyError as err:
                 raise ValueError(f"{path}: line {line_no}: bad value {err.args[0]!r}") from None
             rows[unicodedata.normalize("NFC", parts[0])] = np.array(values, dtype=np.int8)
-        if names is None:
-            raise ValueError(f"{path}: missing header row")
         return cls(names, rows)
 
     @property
@@ -170,15 +166,12 @@ class DistanceParams:
     insert_cost: float = 1.0
     delete_cost: float = 1.0
     sub_scale: float = 1.0
-    threshold: float = 5.0
 
     def __post_init__(self) -> None:
         if self.insert_cost <= 0 or self.delete_cost <= 0 or self.sub_scale <= 0:
             raise ValueError("costs must be positive")
         if self.sub_scale > self.insert_cost + self.delete_cost:
             raise ValueError("sub_scale must not exceed insert_cost + delete_cost")
-        if self.threshold < 0:
-            raise ValueError("threshold must be non-negative")
 
 
 def _edit_distance_ids(

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import enum
 import functools
+import sys
 import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import EmptyStringError, UnknownSymbolError, UnmappableTokenError
@@ -131,13 +133,10 @@ class IpaInventory:
             "base": set(), "prosodic": set(), "diacritic": set(),
             "modifier": set(), "tone": set(),
         }
-        for line_no, line in enumerate(_read_lines(path), start=1):
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0]:
-                raise ValueError(f"{path}: line {line_no}: expected symbol<TAB>category")
-            symbol, category = unicodedata.normalize("NFC", parts[0]), parts[1]
+        for line_no, (symbol, category) in _tsv_rows(path, 2, "symbol<TAB>category"):
+            if not symbol:
+                raise ValueError(f"{path}: line {line_no}: empty symbol")
+            symbol = unicodedata.normalize("NFC", symbol)
             if category not in groups:
                 raise ValueError(f"{path}: line {line_no}: unknown category {category!r}")
             groups[category].add(symbol)
@@ -151,12 +150,34 @@ class IpaInventory:
 
 
 def _read_lines(path) -> list[str]:
-    if hasattr(path, "read_text"):
-        text = path.read_text(encoding="utf-8")
+    """Lines of a UTF-8 file, a packaged resource, or stdin when path is "-".
+
+    "\r\n" and "\r" read as "\n", and only "\n" ends a line: unlike
+    str.splitlines, U+0085, U+2028 and form feeds stay inside the line,
+    because clean() keeps graphemes that contain them.
+    """
+    if path == "-":
+        text = sys.stdin.read()
     else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    return text.splitlines()
+        text = (path if hasattr(path, "read_text") else Path(path)).read_text(encoding="utf-8")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def _tsv_rows(path, columns: int | None = None,
+              expected: str = "") -> Iterator[tuple[int, list[str]]]:
+    """Yield (line_no, fields) per tab-separated row, skipping blank and "#"
+    lines. With columns set, a row of any other width raises ValueError
+    naming the file, the line and the expected layout."""
+    for line_no, line in enumerate(_read_lines(path), start=1):
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if columns is not None and len(fields) != columns:
+            raise ValueError(f"{path}: line {line_no}: expected {expected}")
+        yield line_no, fields
 
 
 @functools.lru_cache(maxsize=None)
@@ -329,13 +350,10 @@ class NotationChart:
     @classmethod
     def from_file(cls, path) -> "NotationChart":
         mapping: dict[str, str] = {}
-        for line_no, line in enumerate(_read_lines(path), start=1):
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0]:
-                raise ValueError(f"{path}: line {line_no}: expected source<TAB>ipa")
-            mapping[parts[0]] = unicodedata.normalize("NFC", parts[1])
+        for line_no, (source, ipa) in _tsv_rows(path, 2, "source<TAB>ipa"):
+            if not source:
+                raise ValueError(f"{path}: line {line_no}: empty source")
+            mapping[source] = unicodedata.normalize("NFC", ipa)
         return cls(mapping)
 
     def convert_stream(self, text: str) -> str:
@@ -360,14 +378,6 @@ class NotationChart:
                 raise UnmappableTokenError(position, token)
             out.append(self.mapping[token])
         return "".join(out)
-
-    @functools.cached_property
-    def inverse(self) -> dict[str, str]:
-        """ipa -> source for rows whose ipa value occurs exactly once."""
-        seen: dict[str, int] = {}
-        for ipa in self.mapping.values():
-            seen[ipa] = seen.get(ipa, 0) + 1
-        return {ipa: src for src, ipa in self.mapping.items() if seen[ipa] == 1}
 
 
 @functools.lru_cache(maxsize=None)

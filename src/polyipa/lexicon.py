@@ -20,7 +20,7 @@ from .errors import NoScriptError, UnknownLanguageError
 from .ipa import (
     IpaInventory,
     IpaString,
-    _read_lines,
+    _tsv_rows,
     default_inventory,
     normalize_text,
     segment_ipa,
@@ -77,13 +77,10 @@ class LanguageRegistry:
     @classmethod
     def from_file(cls, path) -> "LanguageRegistry":
         rows = []
-        for line_no, line in enumerate(_read_lines(path), start=1):
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or not parts[0]:
-                raise ValueError(f"{path}: line {line_no}: expected alpha3<TAB>alpha2<TAB>name")
-            rows.append((parts[0], parts[1], parts[2]))
+        for line_no, (alpha3, alpha2, name) in _tsv_rows(path, 3, "alpha3<TAB>alpha2<TAB>name"):
+            if not alpha3:
+                raise ValueError(f"{path}: line {line_no}: empty alpha3 code")
+            rows.append((alpha3, alpha2, name))
         return cls(rows)
 
     def canonical(self, code_or_name: str) -> str:
@@ -103,13 +100,10 @@ class ScriptTable:
     @classmethod
     def from_file(cls, path) -> "ScriptTable":
         rows: dict[str, tuple[str, ...]] = {}
-        for line_no, line in enumerate(_read_lines(path), start=1):
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[1]:
-                raise ValueError(f"{path}: line {line_no}: expected lang<TAB>scripts")
-            rows[parts[0]] = tuple(s.strip() for s in parts[1].split(","))
+        for line_no, (lang, scripts) in _tsv_rows(path, 2, "lang<TAB>scripts"):
+            if not scripts:
+                raise ValueError(f"{path}: line {line_no}: empty scripts")
+            rows[lang] = tuple(s.strip() for s in scripts.split(","))
         return cls(rows)
 
     def get(self, lang: str) -> tuple[str, ...] | None:
@@ -238,16 +232,9 @@ class Lexicon:
     def read_tsv(cls, path, inventory: IpaInventory | None = None) -> "Lexicon":
         """Read an already-clean 3-column TSV; transcriptions must segment."""
         inv = inventory or default_inventory()
-        entries = []
-        for line_no, line in enumerate(_read_lines(path), start=1):
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {line_no}: expected lang<TAB>grapheme<TAB>ipa")
-            lang, grapheme, ipa_text = parts
-            entries.append(PronEntry(lang, grapheme, segment_ipa(ipa_text, inv)))
-        return cls(entries)
+        rows = _tsv_rows(path, 3, "lang<TAB>grapheme<TAB>ipa")
+        return cls(PronEntry(lang, grapheme, segment_ipa(ipa_text, inv))
+                   for _, (lang, grapheme, ipa_text) in rows)
 
     def write_tsv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -293,12 +280,8 @@ def read_raw_tsv(path) -> list[tuple[str, str, str]]:
     when they at least split into three columns; others are kept for clean()
     to count). Returns (lang, grapheme, ipa) string triples."""
     rows: list[tuple[str, str, str]] = []
-    for line in _read_lines(path):
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        while len(parts) < 3:
-            parts.append("")
+    for _, parts in _tsv_rows(path):
+        parts += [""] * (3 - len(parts))
         rows.append((parts[0], parts[1], parts[2]))
     return rows
 

@@ -23,7 +23,7 @@ from .features import (
     normalized_feature_distance,
     string_embedding,
 )
-from .ipa import IpaInventory, IpaString, parse_ipa, strip_diacritics_tones
+from .ipa import IpaInventory, IpaString, _tsv_rows, parse_ipa, strip_diacritics_tones
 from .lexicon import Lexicon, PronEntry
 from .metrics import cer
 
@@ -117,15 +117,10 @@ def write_embeddings_tsv(path, matrix: np.ndarray) -> None:
 
 def load_embeddings_tsv(path) -> np.ndarray:
     rows: list[list[float]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if int(parts[0]) != len(rows):
-                raise ValueError(f"{path}: line {line_no}: ids must be 0-based row positions")
-            rows.append([float(v) for v in parts[1:]])
+    for line_no, parts in _tsv_rows(path):
+        if int(parts[0]) != len(rows):
+            raise ValueError(f"{path}: line {line_no}: ids must be 0-based row positions")
+        rows.append([float(v) for v in parts[1:]])
     if not rows:
         return np.zeros((0, 0), dtype=np.float64)
     widths = {len(r) for r in rows}
@@ -199,22 +194,12 @@ def write_pairs_tsv(path, pairs: Sequence[SoundalikePair]) -> None:
 
 
 def read_pairs_tsv(path, inventory: IpaInventory | None = None) -> list[SoundalikePair]:
-    pairs: list[SoundalikePair] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 7:
-                raise ValueError(f"{path}: line {line_no}: expected 7 columns, got {len(parts)}")
-            la, ga, ia, lb, gb, ib, d = parts
-            pairs.append(SoundalikePair(
-                PronEntry(la, ga, parse_ipa(ia, inventory)),
-                PronEntry(lb, gb, parse_ipa(ib, inventory)),
-                float(d),
-            ))
-    return pairs
+    rows = _tsv_rows(path, 7, "lang_a<TAB>grapheme_a<TAB>ipa_a<TAB>"
+                              "lang_b<TAB>grapheme_b<TAB>ipa_b<TAB>distance")
+    return [SoundalikePair(PronEntry(la, ga, parse_ipa(ia, inventory)),
+                           PronEntry(lb, gb, parse_ipa(ib, inventory)),
+                           float(d))
+            for _, (la, ga, ia, lb, gb, ib, d) in rows]
 
 
 def filter_generation_by_cer(original: str, generated: str,

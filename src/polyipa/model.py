@@ -26,7 +26,7 @@ from .errors import (
     NonMonotoneScoresError,
     UnknownTagWarning,
 )
-from .ipa import IpaString
+from .ipa import IpaString, _read_lines, _tsv_rows
 from .lexicon import Lexicon, PronEntry, ScriptTable, lang_script_tag
 
 __all__ = [
@@ -330,8 +330,7 @@ class JointModel:
 
     @classmethod
     def load(cls, path) -> "JointModel":
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        lines = _read_lines(path)
         pos = 0
 
         def expect(label: str) -> str:
@@ -546,15 +545,7 @@ def load_external_candidates(path) -> dict[tuple[str, str], list[Candidate]]:
     blocks for different keys may interleave.
     """
     result: dict[tuple[str, str], list[Candidate]] = {}
-    if hasattr(path, "read_text"):
-        lines = path.read_text(encoding="utf-8").splitlines()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    for line_no, line in enumerate(lines, start=1):
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
+    for line_no, parts in _tsv_rows(path):
         if len(parts) != 5:
             raise CandidateParseError(line_no, f"expected 5 columns, got {len(parts)}", path)
         tag, ipa_text, rank_raw, grapheme, score_raw = parts

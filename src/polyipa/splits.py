@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InsufficientDataError
-from .ipa import IpaInventory, IpaString, parse_ipa, strip_diacritics_tones
+from .ipa import IpaInventory, IpaString, _tsv_rows, parse_ipa, strip_diacritics_tones
 from .lexicon import Lexicon, PronEntry, ScriptTable, lang_script_tag
 from .mining import SoundalikePair
 
@@ -236,16 +236,9 @@ def write_examples_tsv(path, examples: Iterable[TrainExample]) -> None:
 
 def read_examples_tsv(path, inventory: IpaInventory | None = None) -> list[TrainExample]:
     out: list[TrainExample] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}: line {line_no}: expected 4 columns, got {len(parts)}")
-            tag, target, ipa_text, provenance = parts
-            if provenance not in PROVENANCES:
-                raise ValueError(f"{path}: line {line_no}: unknown provenance {provenance!r}")
-            out.append(TrainExample(tag, parse_ipa(ipa_text, inventory), target, provenance))
+    rows = _tsv_rows(path, 4, "tag<TAB>grapheme<TAB>ipa<TAB>provenance")
+    for line_no, (tag, target, ipa_text, provenance) in rows:
+        if provenance not in PROVENANCES:
+            raise ValueError(f"{path}: line {line_no}: unknown provenance {provenance!r}")
+        out.append(TrainExample(tag, parse_ipa(ipa_text, inventory), target, provenance))
     return out

@@ -147,6 +147,15 @@ def test_predict_deduplicates_queries(pipeline, tmp_path):
     assert len(out.read_text(encoding="utf-8").splitlines()) == 1
 
 
+def test_predict_names_malformed_query_line(pipeline, tmp_path, capsys):
+    queries = tmp_path / "q.tsv"
+    queries.write_text("<eo>\tpato\n<eo> pato\n", encoding="utf-8")
+    assert run_cli(["predict", "--model", str(pipeline["model"]),
+                    "--input", str(queries),
+                    "--output", str(tmp_path / "c.tsv")]) == 1
+    assert "q.tsv: line 2: expected tag<TAB>ipa" in capsys.readouterr().err
+
+
 def test_eval_warns_on_missing_candidates(pipeline, tmp_path, capsys):
     partial = tmp_path / "partial.tsv"
     lines = pipeline["cands"].read_text(encoding="utf-8").splitlines()

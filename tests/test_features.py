@@ -103,8 +103,6 @@ def test_params_validation():
         DistanceParams(insert_cost=0)
     with pytest.raises(ValueError):
         DistanceParams(sub_scale=5.0)
-    with pytest.raises(ValueError):
-        DistanceParams(threshold=-1)
 
 
 def _recursive_oracle(a, b, params, table):

@@ -154,21 +154,29 @@ def test_lexicon_has_pronunciation_ignores_script():
 
 
 def test_lexicon_tsv_roundtrip(tmp_path):
+    # clean() keeps graphemes with U+2028, U+0085 and form feeds; only "\n"
+    # may end a row, in LF and CRLF files alike
     lex = Lexicon([
         PronEntry("de", "Katze", parse_ipa("ˈkatsə")),
         PronEntry("ru", "кот", parse_ipa("kot")),
+        PronEntry("de", "ka\u2028t", parse_ipa("kat")),
+        PronEntry("de", "ka\x85t", parse_ipa("kat")),
+        PronEntry("de", "ka\x0ct", parse_ipa("kat")),
     ])
     path = tmp_path / "lex.tsv"
     lex.write_tsv(path)
-    back = Lexicon.read_tsv(path)
-    assert [(e.lang, e.grapheme, e.ipa.text) for e in back] == \
-        [(e.lang, e.grapheme, e.ipa.text) for e in lex]
+    crlf = tmp_path / "crlf.tsv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    for written in (path, crlf):
+        back = Lexicon.read_tsv(written)
+        assert [(e.lang, e.grapheme, e.ipa.text) for e in back] == \
+            [(e.lang, e.grapheme, e.ipa.text) for e in lex]
 
 
 def test_lexicon_read_tsv_rejects_short_rows(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("de\tkat\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"bad\.tsv: line 1: "):
         Lexicon.read_tsv(path)
 
 

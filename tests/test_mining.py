@@ -194,7 +194,7 @@ def test_pairs_tsv_roundtrip(tmp_path):
 def test_pairs_tsv_rejects_short_rows(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text("de\tkat\tkat\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"pairs\.tsv: line 1: "):
         read_pairs_tsv(path)
 
 

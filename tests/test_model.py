@@ -240,13 +240,16 @@ def test_retraining_is_byte_identical(tmp_path):
 
 
 def test_save_load_preserves_decoding(tmp_path):
-    lex = shallow_lexicon(120, seed=29)
+    # a line separator inside a grapheme must survive the line-based format
+    lex = Lexicon(list(shallow_lexicon(120, seed=29))
+                  + [PronEntry("eo", "pa\u2028to", parse_ipa("pato"))])
     model = train(lex, order=3)
     path = tmp_path / "m.model"
     model.save(path)
     loaded = JointModel.load(path)
     assert loaded.order == model.order
     assert loaded.tags == model.tags
+    assert loaded.counts == model.counts
     for probe in ("pato", "shilo", "chama"):
         ipa = parse_ipa(probe)
         a = beam_decode(model, "<eo>", ipa, n_best=3)

@@ -291,8 +291,8 @@ def test_examples_tsv_roundtrip(tmp_path):
 def test_examples_tsv_validates(tmp_path):
     path = tmp_path / "examples.tsv"
     path.write_text("<de>\tkat\tkat\tbogus\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"examples\.tsv: line 1: "):
         read_examples_tsv(path)
     path.write_text("<de>\tkat\tkat\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"examples\.tsv: line 1: "):
         read_examples_tsv(path)
