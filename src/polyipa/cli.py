@@ -65,7 +65,25 @@ def _write_lines(path: str, lines: list[str]) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _first_data_columns(path: str) -> int:
+class _StdinText:
+    """stdin read once, passed to readers in place of the path "-": train
+    and predict read their input twice, to count columns and to parse it."""
+
+    def __init__(self):
+        self._text = sys.stdin.read()
+
+    def read_text(self, encoding: str = "utf-8") -> str:
+        return self._text
+
+    def __str__(self) -> str:
+        return "-"
+
+
+def _input(path: str):
+    return _StdinText() if path == "-" else path
+
+
+def _first_data_columns(path) -> int:
     for _, fields in _tsv_rows(path):
         return len(fields)
     return 0
@@ -179,13 +197,13 @@ def cmd_augment(args, cfg: PipelineConfig, res: Resources) -> int:
 def cmd_train(args, cfg: PipelineConfig, res: Resources) -> int:
     order = args.order if args.order is not None else cfg.model_order
     iterations = args.em_iterations if args.em_iterations is not None else cfg.em_iterations
-    columns = _first_data_columns(args.input)
-    if columns == 4:
-        examples = read_examples_tsv(args.input, res.inventory)
+    source = _input(args.input)
+    if _first_data_columns(source) == 4:
+        examples = read_examples_tsv(source, res.inventory)
         rows = [(ex.tag, ex.ipa, ex.target) for ex in examples]
         model = train_tagged(rows, order=order, em_iterations=iterations)
     else:
-        lex = Lexicon.read_tsv(args.input, res.inventory)
+        lex = Lexicon.read_tsv(source, res.inventory)
         model = train(lex, order=order, em_iterations=iterations, scripts=res.scripts)
     model.save(args.output)
     stats = model.training_stats
@@ -202,11 +220,12 @@ def cmd_predict(args, cfg: PipelineConfig, res: Resources) -> int:
     if args.verbose:
         print(f"predict: beam width {effective_beam_width(n_best, beam_width)}",
               file=sys.stderr)
-    if _first_data_columns(args.input) == 2:
-        rows = _tsv_rows(args.input, 2, "tag<TAB>ipa")
+    source = _input(args.input)
+    if _first_data_columns(source) == 2:
+        rows = _tsv_rows(source, 2, "tag<TAB>ipa")
         keys = ((tag, ipa_text) for _, (tag, ipa_text) in rows)
     else:
-        lex = Lexicon.read_tsv(args.input, res.inventory)
+        lex = Lexicon.read_tsv(source, res.inventory)
         keys = ((lang_script_tag(e, res.scripts), e.ipa.text) for e in lex)
     queries = list(dict.fromkeys(keys))
     blocks = []

@@ -174,42 +174,91 @@ class DistanceParams:
             raise ValueError("sub_scale must not exceed insert_cost + delete_cost")
 
 
-def _edit_distance_ids(
-    a: Sequence[int],
-    b: Sequence[int],
-    sub: Sequence[Sequence[float]],
+# Pairs scored together by one DP batch; its working memory is a few arrays
+# of the string length times this many pairs.
+_DP_BATCH = 4096
+
+
+def _dp_batch(a: np.ndarray, b: np.ndarray, sub: np.ndarray,
+              insert_cost: float, delete_cost: float) -> np.ndarray:
+    """Edit distance from each row of a (m x la ids) to the same row of b
+    (m x lb ids), filling the DP table one anti-diagonal t = i + j at a time.
+
+    A diagonal is stored by i, one column per pair, so cell (i, t - i) reads
+    its upper neighbour at i - 1 and its left one at i of diagonal t - 1, and
+    its diagonal neighbour at i - 1 of diagonal t - 2. With b reversed, the
+    substitution costs along a diagonal come from contiguous rows of a and b.
+    """
+    m, la = a.shape
+    lb = b.shape[1]
+    rows = np.ascontiguousarray(a.T * sub.shape[0])
+    b_rev = np.ascontiguousarray(b[:, ::-1].T)
+    flat = sub.ravel()
+    prev2 = prev1 = np.zeros((la + 1, m))
+    for t in range(1, la + lb + 1):
+        cur = np.empty((la + 1, m))
+        lo, hi = max(1, t - lb), min(la, t - 1)
+        if lo <= hi:
+            cells = cur[lo:hi + 1]
+            costs = flat[rows[lo - 1:hi] + b_rev[lb - t + lo:lb - t + hi + 1]]
+            np.minimum(prev1[lo - 1:hi] + delete_cost, prev1[lo:hi + 1] + insert_cost,
+                       out=cells)
+            np.minimum(cells, prev2[lo - 1:hi] + costs, out=cells)
+        if t <= lb:
+            cur[0] = t * insert_cost
+        if t <= la:
+            cur[t] = t * delete_cost
+        prev2, prev1 = prev1, cur
+    return prev1[la]
+
+
+def _edit_distances(
+    codes: np.ndarray,
+    lengths: np.ndarray,
+    I: np.ndarray,
+    J: np.ndarray,
+    sub: np.ndarray,
     insert_cost: float,
     delete_cost: float,
-) -> float:
-    """Two-row DP over segments encoded as vocabulary ids; sub[i][j] is the
-    substitution cost between vocabulary entries i and j."""
-    if not a:
-        return len(b) * insert_cost
-    if not b:
-        return len(a) * delete_cost
-    prev = [j * insert_cost for j in range(len(b) + 1)]
-    for i, ai in enumerate(a, start=1):
-        row_sub = sub[ai]
-        cur = [i * delete_cost]
-        for j, bj in enumerate(b, start=1):
-            best = prev[j] + delete_cost
-            other = cur[j - 1] + insert_cost
-            if other < best:
-                best = other
-            other = prev[j - 1] + row_sub[bj]
-            if other < best:
-                best = other
-            cur.append(best)
-        prev = cur
-    return prev[-1]
+    threshold: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted edit distance from string I[p] to string J[p] for every pair
+    p, keeping the pairs at or under threshold.
+
+    codes holds each string's vocabulary ids in a row padded past its length;
+    sub[x, y] is the substitution cost between vocabulary entries x and y. A
+    pair whose length difference alone costs more than threshold is not
+    scored. Pairs with the same (len_a, len_b) are scored in batches. Each
+    cell is the minimum of the up + delete, left + insert and diagonal +
+    substitution sums of the textbook DP, so every distance is bit-identical
+    to it. Returns the kept (i, j, d) arrays in (i, j) order.
+    """
+    la, lb = lengths[I], lengths[J]
+    fits = np.abs(la - lb) * min(insert_cost, delete_cost) <= threshold
+    I, J, la, lb = I[fits], J[fits], la[fits], lb[fits]
+    key = la * (int(lengths.max(initial=0)) + 1) + lb
+    order = np.argsort(key, kind="stable")
+    bounds = np.flatnonzero(np.diff(key[order])) + 1
+    dist = np.empty(len(I))
+    for group in np.split(order, bounds):
+        for start in range(0, len(group), _DP_BATCH):
+            p = group[start:start + _DP_BATCH]
+            dist[p] = _dp_batch(codes[I[p], :la[p[0]]], codes[J[p], :lb[p[0]]],
+                                sub, insert_cost, delete_cost)
+    kept = dist <= threshold
+    I, J, dist = I[kept], J[kept], dist[kept]
+    order = np.lexsort((J, I))
+    return I[order], J[order], dist[order]
 
 
 def _vocab_and_costs(
     strings: Sequence[IpaString],
     table: FeatureTable,
     sub_scale: float,
-) -> tuple[list[list[int]], list[list[float]]]:
-    """Encode strings as id lists and build the pairwise substitution matrix."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encode strings as rows of vocabulary ids (zero-padded past each
+    string's length, given in lengths) and build the pairwise substitution
+    matrix."""
     vocab: dict[str, int] = {}
     vectors: list[np.ndarray] = []
     encoded: list[list[int]] = []
@@ -222,13 +271,17 @@ def _vocab_and_costs(
                 vectors.append(table.lookup(seg).vector)
             ids.append(vocab[key])
         encoded.append(ids)
+    lengths = np.array([len(ids) for ids in encoded], dtype=np.intp)
+    codes = np.zeros((len(encoded), lengths.max(initial=0)), dtype=np.intp)
+    for row, ids in zip(codes, encoded):
+        row[:len(ids)] = ids
     if vectors:
         mat = np.stack(vectors)
         disagree = (mat[:, None, :] != mat[None, :, :]).sum(axis=2)
-        costs = (disagree * (sub_scale / table.dims)).tolist()
+        costs = disagree * (sub_scale / table.dims)
     else:
-        costs = []
-    return encoded, costs
+        costs = np.zeros((0, 0))
+    return codes, lengths, costs
 
 
 def feature_edit_distance(
@@ -240,8 +293,10 @@ def feature_edit_distance(
     """Weighted segment edit distance between two transcriptions."""
     params = params or DistanceParams()
     table = table or default_feature_table()
-    (ids_a, ids_b), costs = _vocab_and_costs((a, b), table, params.sub_scale)
-    return _edit_distance_ids(ids_a, ids_b, costs, params.insert_cost, params.delete_cost)
+    codes, lengths, costs = _vocab_and_costs((a, b), table, params.sub_scale)
+    _, _, d = _edit_distances(codes, lengths, np.array([0]), np.array([1]), costs,
+                              params.insert_cost, params.delete_cost, np.inf)
+    return float(d[0])
 
 
 def normalized_feature_distance(

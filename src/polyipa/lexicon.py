@@ -294,10 +294,11 @@ def clean(
 ) -> tuple[Lexicon, CleaningReport]:
     """Run the full cleaning pipeline over raw rows.
 
-    Order: text normalization, language-code resolution, IPA validation,
-    script check (skipped when the language has no official-script row),
-    exact-duplicate removal. Idempotent: cleaning a cleaned lexicon's rows
-    retains everything.
+    Order: text normalization, graphemes that are empty or contain a tab or
+    line break, language-code resolution, IPA validation, script check
+    (skipped when the language has no official-script row), exact-duplicate
+    removal. Idempotent: cleaning a cleaned lexicon's rows retains
+    everything.
     """
     inv = inventory or default_inventory()
     registry = registry or default_registry()
@@ -312,6 +313,10 @@ def clean(
         ipa_text = normalize_text(ipa_raw)
         if not grapheme:
             report.remove("empty-grapheme")
+            continue
+        if any(ch in grapheme for ch in "\t\r\n"):
+            # would split the TSV row or line that write_tsv writes
+            report.remove("separator-in-grapheme")
             continue
         try:
             lang = normalize_lang_code(lang_raw, registry)

@@ -13,11 +13,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BothEmptyError, DimensionMismatchError, EmptyOriginalError
+from .errors import BothEmptyError, DimensionMismatchError, EmptyOriginalError, EmptyStringError
 from .features import (
     DistanceParams,
     FeatureTable,
-    _edit_distance_ids,
+    _edit_distances,
     _vocab_and_costs,
     default_feature_table,
     normalized_feature_distance,
@@ -69,7 +69,14 @@ class VectorIndex:
             raise DimensionMismatchError(
                 f"query has shape {vector.shape}, index rows have {self.dims}")
         dists = np.linalg.norm(self.matrix - vector, axis=1)
-        order = np.argsort(dists, kind="stable")[:k]
+        if 0 < k < len(dists):
+            # only rows at or under the k-th smallest distance can be in the
+            # first k of the full stable sort, and they keep its order
+            kth = np.partition(dists, k - 1)[k - 1]
+            near = np.flatnonzero(dists <= kth)
+            order = near[np.argsort(dists[near], kind="stable")][:k]
+        else:
+            order = np.argsort(dists, kind="stable")[:k]
         return [(int(i), float(dists[i])) for i in order]
 
     def query_row(self, row: int, k: int) -> list[tuple[int, float]]:
@@ -129,6 +136,36 @@ def load_embeddings_tsv(path) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
+# Pairs scored per block in exhaustive mining, so that its memory does not
+# grow with the square of the corpus size.
+_PAIR_BLOCK = 1 << 16
+
+
+def _all_pairs(n: int):
+    """Every pair i < j as index arrays in (i, j) order, a block of rows at a
+    time."""
+    step = max(1, _PAIR_BLOCK // n)
+    cols = np.arange(n)
+    for start in range(0, n - 1, step):
+        rows = np.arange(start, min(start + step, n - 1))
+        I, J = np.nonzero(rows[:, None] < cols)
+        yield I + start, J
+
+
+def _nearest_pairs(entries: Sequence[PronEntry], k: int, table: FeatureTable):
+    """Unordered pairs i < j where either is among the other's k nearest
+    neighbours, as index arrays in (i, j) order."""
+    index = VectorIndex(build_embedding_matrix(entries, table))
+    n = len(index)
+    near = np.empty((n, k), dtype=np.intp)
+    for i in range(n):
+        near[i] = [j for j, _ in index.query_row(i, k)]
+    rows = np.repeat(np.arange(n), k)
+    cols = near.ravel()
+    keys = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+    return keys // n, keys % n
+
+
 def mine_soundalikes(
     entries: Sequence[PronEntry],
     params: MiningParams | None = None,
@@ -140,10 +177,10 @@ def mine_soundalikes(
     below the threshold.
 
     Candidate generation takes the union of each entry's k nearest
-    neighbours, so with k >= len(entries) - 1 the candidate set is every
-    pair and the result is exhaustive. With exclude_existing, pairs that the
-    known lexicon already records as pronunciation variants of each other
-    are dropped.
+    neighbours. With k >= len(entries) - 1 that is every pair, so retrieval
+    is skipped and every pair is scored: the result is exhaustive. With
+    exclude_existing, pairs that the known lexicon already records as
+    pronunciation variants of each other are dropped.
     """
     params = params or MiningParams()
     distance = distance or DistanceParams()
@@ -152,34 +189,26 @@ def mine_soundalikes(
     if len(entries) < 2:
         return []
 
-    matrix = build_embedding_matrix(entries, table)
-    index = VectorIndex(matrix)
     k = min(params.k, len(entries) - 1)
-    candidates: set[tuple[int, int]] = set()
-    for i in range(len(entries)):
-        for j, _ in index.query_row(i, k):
-            candidates.add((i, j) if i < j else (j, i))
+    if k < len(entries) - 1:
+        blocks = [_nearest_pairs(entries, k, table)]
+    else:
+        if any(not e.ipa.segments for e in entries):
+            raise EmptyStringError("cannot mine an empty transcription")
+        blocks = _all_pairs(len(entries))
 
-    encoded, costs = _vocab_and_costs([e.ipa for e in entries], table, distance.sub_scale)
-    cheapest_gap = min(distance.insert_cost, distance.delete_cost)
-    results: list[tuple[int, int, float]] = []
-    for i, j in sorted(candidates):
-        ids_a, ids_b = encoded[i], encoded[j]
-        if abs(len(ids_a) - len(ids_b)) * cheapest_gap > params.threshold:
-            continue
-        d = _edit_distance_ids(ids_a, ids_b, costs, distance.insert_cost,
-                               distance.delete_cost)
-        if d <= params.threshold:
-            results.append((i, j, d))
-
+    codes, lengths, costs = _vocab_and_costs([e.ipa for e in entries], table, distance.sub_scale)
     pairs: list[SoundalikePair] = []
-    for i, j, d in results:
-        a, b = entries[i], entries[j]
-        if known is not None and params.exclude_existing:
-            if known.has_pronunciation(a.lang, a.grapheme, b.ipa.text) or \
-               known.has_pronunciation(b.lang, b.grapheme, a.ipa.text):
-                continue
-        pairs.append(SoundalikePair(a, b, d))
+    for I, J in blocks:
+        kept = _edit_distances(codes, lengths, I, J, costs, distance.insert_cost,
+                               distance.delete_cost, params.threshold)
+        for i, j, d in zip(*(column.tolist() for column in kept)):
+            a, b = entries[i], entries[j]
+            if known is not None and params.exclude_existing:
+                if known.has_pronunciation(a.lang, a.grapheme, b.ipa.text) or \
+                   known.has_pronunciation(b.lang, b.grapheme, a.ipa.text):
+                    continue
+            pairs.append(SoundalikePair(a, b, d))
     return pairs
 
 

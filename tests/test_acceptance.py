@@ -3,8 +3,8 @@
 Each test prints one `[criterion NN] name: PASS/FAIL` line and enforces its
 pinned tolerance and time budget. The oracles are independent of the code
 under test: memoized recursion for the distance table, exact rational
-arithmetic for the split allocation, brute-force enumeration for mining and
-beam search.
+arithmetic for the split allocation, a pure-Python two-row DP over every
+pair for mining, and brute-force enumeration for beam search.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _reference_dp import encode, two_row_distance
 from _synth import (
     AMBIG_SPELLINGS,
     ambiguous_lexicon,
@@ -38,6 +39,7 @@ from polyipa import (
     cer,
     char_bleu,
     clean,
+    default_feature_table,
     effective_beam_width,
     feature_edit_distance,
     lang_script_tag,
@@ -161,9 +163,13 @@ def test_criterion_02_mining_equals_brute_force():
         got = {(p.entry_a.grapheme, p.entry_b.grapheme, p.distance)
                for p in mined}
 
+        params = DistanceParams()
+        encoded, costs = encode([e.ipa for e in entries], default_feature_table(),
+                                params.sub_scale)
         want = set()
         for i, j in itertools.combinations(range(len(entries)), 2):
-            d = feature_edit_distance(entries[i].ipa, entries[j].ipa)
+            d = two_row_distance(encoded[i], encoded[j], costs,
+                                 params.insert_cost, params.delete_cost)
             if d <= threshold:
                 want.add((entries[i].grapheme, entries[j].grapheme, d))
 

@@ -156,6 +156,24 @@ def test_predict_names_malformed_query_line(pipeline, tmp_path, capsys):
     assert "q.tsv: line 2: expected tag<TAB>ipa" in capsys.readouterr().err
 
 
+def test_train_reads_stdin_once(pipeline, tmp_path, monkeypatch):
+    rows = pipeline["splits"] / "train.tsv"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(rows.read_text(encoding="utf-8")))
+    model = tmp_path / "stdin.model"
+    assert run_cli(["train", "--input", "-", "--order", "3",
+                    "--output", str(model)]) == 0
+    assert model.read_bytes() == pipeline["model"].read_bytes()
+
+
+def test_predict_reads_stdin_once(pipeline, tmp_path, monkeypatch):
+    test = pipeline["splits"] / "test.tsv"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(test.read_text(encoding="utf-8")))
+    cands = tmp_path / "stdin.tsv"
+    assert run_cli(["predict", "--model", str(pipeline["model"]), "--input", "-",
+                    "--n-best", "3", "--output", str(cands)]) == 0
+    assert cands.read_bytes() == pipeline["cands"].read_bytes()
+
+
 def test_eval_warns_on_missing_candidates(pipeline, tmp_path, capsys):
     partial = tmp_path / "partial.tsv"
     lines = pipeline["cands"].read_text(encoding="utf-8").splitlines()

@@ -12,6 +12,7 @@ import random
 import numpy as np
 import pytest
 
+from _reference_dp import encode, two_row_distance
 from polyipa import (
     BothEmptyError,
     DistanceParams,
@@ -25,6 +26,7 @@ from polyipa import (
     string_embedding,
 )
 from polyipa.errors import UnknownSegmentError
+from polyipa.features import _edit_distances, _vocab_and_costs
 from polyipa.ipa import IpaSegment
 
 
@@ -164,6 +166,27 @@ def test_distance_matches_recursion_on_default_table():
                                     table=table)
         oracle = _recursive_oracle(a, b, DistanceParams(), table)
         assert got == pytest.approx(oracle, abs=1e-12)
+
+
+def test_batched_kernel_matches_two_row_dp():
+    table = default_feature_table()
+    rng = random.Random(23)
+    symbols = ["p", "t", "k", "b", "m", "n", "s", "ʃ", "t͡ʃ", "a", "i", "u"]
+    strings = [parse_ipa("".join(rng.choice(symbols) for _ in range(rng.randint(0, 8))))
+               for _ in range(60)]
+    I, J = np.nonzero(np.ones((len(strings), len(strings)), dtype=bool))
+    shuffled = np.random.default_rng(5).permutation(len(I))
+    for params in (DistanceParams(), DistanceParams(0.75, 1.25, 1.5)):
+        encoded, costs = encode(strings, table, params.sub_scale)
+        want = [(i, j, two_row_distance(encoded[i], encoded[j], costs,
+                                        params.insert_cost, params.delete_cost))
+                for i, j in zip(I.tolist(), J.tolist())]
+        codes, lengths, sub = _vocab_and_costs(strings, table, params.sub_scale)
+        for threshold in (np.inf, 2.0):
+            got = _edit_distances(codes, lengths, I[shuffled], J[shuffled], sub,
+                                  params.insert_cost, params.delete_cost, threshold)
+            assert list(zip(*(column.tolist() for column in got))) == \
+                [w for w in want if w[2] <= threshold]
 
 
 def test_normalized_distance_bounds():

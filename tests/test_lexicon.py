@@ -77,9 +77,12 @@ def test_clean_removes_unknown_language():
 
 
 def test_clean_removes_empty_grapheme():
-    lex, report = _clean_rows([("de", "", "kat")])
+    # a tab or line break inside a grapheme would not survive write_tsv
+    lex, report = _clean_rows([("de", "", "kat"), ("de", "ka\rt", "kat"),
+                               ("de", "ka\tt", "kat"), ("de", "ka\nt", "kat")])
     assert len(lex) == 0
-    assert report.removed_by_rule == {"empty-grapheme": 1}
+    assert report.removed_by_rule == {"empty-grapheme": 1, "separator-in-grapheme": 3}
+    assert report.conserved
 
 
 def test_clean_removes_no_script_grapheme():

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from _reference_dp import encode, two_row_distance
 from polyipa import (
     DistanceParams,
     Lexicon,
@@ -15,7 +16,7 @@ from polyipa import (
     PronEntry,
     VectorIndex,
     build_embedding_matrix,
-    feature_edit_distance,
+    default_feature_table,
     filter_by_feature_distance,
     filter_generation_by_cer,
     load_embeddings_tsv,
@@ -29,6 +30,7 @@ from polyipa.errors import (
     BothEmptyError,
     DimensionMismatchError,
     EmptyOriginalError,
+    EmptyStringError,
 )
 
 
@@ -45,6 +47,17 @@ def test_query_breaks_ties_by_row_order():
     index = VectorIndex(np.array([[1.0], [1.0], [0.0], [1.0]]))
     hits = index.query(np.array([1.0]), k=4)
     assert [i for i, _ in hits] == [0, 1, 3, 2]
+    # 27 distinct rows among 200, so most distances tie exactly; the result
+    # must equal the first k of a full stable sort
+    rng = np.random.default_rng(12)
+    matrix = rng.integers(0, 3, size=(200, 3)).astype(np.float64)
+    index = VectorIndex(matrix)
+    for row in range(0, 200, 7):
+        dists = np.linalg.norm(matrix - matrix[row], axis=1)
+        order = np.argsort(dists, kind="stable")
+        for k in (1, 5, 30, 199, 200, 250):
+            want = [(int(i), float(dists[i])) for i in order[:k]]
+            assert index.query(matrix[row], k) == want
 
 
 def test_query_row_excludes_self():
@@ -86,9 +99,13 @@ def _entries(n, seed, lang="de"):
 
 
 def _brute_force(entries, threshold, distance=None):
+    distance = distance or DistanceParams()
+    encoded, costs = encode([e.ipa for e in entries], default_feature_table(),
+                            distance.sub_scale)
     found = set()
     for i, j in itertools.combinations(range(len(entries)), 2):
-        d = feature_edit_distance(entries[i].ipa, entries[j].ipa, distance)
+        d = two_row_distance(encoded[i], encoded[j], costs,
+                             distance.insert_cost, distance.delete_cost)
         if d <= threshold:
             found.add((entries[i].grapheme, entries[j].grapheme, d))
     return found
@@ -122,6 +139,13 @@ def test_mining_respects_distance_params():
     assert len(cheap) == 1
     dear = mine_soundalikes(entries, MiningParams(k=1, threshold=0.5))
     assert dear == []
+
+
+def test_mining_rejects_empty_transcription():
+    entries = _entries(4, seed=10) + [PronEntry("de", "x", parse_ipa(""))]
+    for k in (1, len(entries) - 1):
+        with pytest.raises(EmptyStringError):
+            mine_soundalikes(entries, MiningParams(k=k, threshold=1.0))
 
 
 def test_mining_needs_two_entries():
