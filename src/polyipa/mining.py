@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BothEmptyError, DimensionMismatchError, EmptyOriginalError, EmptyStringError
+from .errors import BothEmptyError, DimensionMismatchError, EmptyOriginalError
 from .features import (
     DistanceParams,
     FeatureTable,
@@ -136,22 +136,6 @@ def load_embeddings_tsv(path) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-# Pairs scored per block in exhaustive mining, so that its memory does not
-# grow with the square of the corpus size.
-_PAIR_BLOCK = 1 << 16
-
-
-def _all_pairs(n: int):
-    """Every pair i < j as index arrays in (i, j) order, a block of rows at a
-    time."""
-    step = max(1, _PAIR_BLOCK // n)
-    cols = np.arange(n)
-    for start in range(0, n - 1, step):
-        rows = np.arange(start, min(start + step, n - 1))
-        I, J = np.nonzero(rows[:, None] < cols)
-        yield I + start, J
-
-
 def _nearest_pairs(entries: Sequence[PronEntry], k: int, table: FeatureTable):
     """Unordered pairs i < j where either is among the other's k nearest
     neighbours, as index arrays in (i, j) order."""
@@ -177,10 +161,10 @@ def mine_soundalikes(
     below the threshold.
 
     Candidate generation takes the union of each entry's k nearest
-    neighbours. With k >= len(entries) - 1 that is every pair, so retrieval
-    is skipped and every pair is scored: the result is exhaustive. With
-    exclude_existing, pairs that the known lexicon already records as
-    pronunciation variants of each other are dropped.
+    neighbours, so with k >= len(entries) - 1 the candidate set is every
+    pair and the result is exhaustive. With exclude_existing, pairs that the
+    known lexicon already records as pronunciation variants of each other
+    are dropped.
     """
     params = params or MiningParams()
     distance = distance or DistanceParams()
@@ -189,26 +173,18 @@ def mine_soundalikes(
     if len(entries) < 2:
         return []
 
-    k = min(params.k, len(entries) - 1)
-    if k < len(entries) - 1:
-        blocks = [_nearest_pairs(entries, k, table)]
-    else:
-        if any(not e.ipa.segments for e in entries):
-            raise EmptyStringError("cannot mine an empty transcription")
-        blocks = _all_pairs(len(entries))
-
+    I, J = _nearest_pairs(entries, min(params.k, len(entries) - 1), table)
     codes, lengths, costs = _vocab_and_costs([e.ipa for e in entries], table, distance.sub_scale)
+    kept = _edit_distances(codes, lengths, I, J, costs, distance.insert_cost,
+                           distance.delete_cost, params.threshold)
     pairs: list[SoundalikePair] = []
-    for I, J in blocks:
-        kept = _edit_distances(codes, lengths, I, J, costs, distance.insert_cost,
-                               distance.delete_cost, params.threshold)
-        for i, j, d in zip(*(column.tolist() for column in kept)):
-            a, b = entries[i], entries[j]
-            if known is not None and params.exclude_existing:
-                if known.has_pronunciation(a.lang, a.grapheme, b.ipa.text) or \
-                   known.has_pronunciation(b.lang, b.grapheme, a.ipa.text):
-                    continue
-            pairs.append(SoundalikePair(a, b, d))
+    for i, j, d in zip(*(column.tolist() for column in kept)):
+        a, b = entries[i], entries[j]
+        if known is not None and params.exclude_existing:
+            if known.has_pronunciation(a.lang, a.grapheme, b.ipa.text) or \
+               known.has_pronunciation(b.lang, b.grapheme, a.ipa.text):
+                continue
+        pairs.append(SoundalikePair(a, b, d))
     return pairs
 
 
