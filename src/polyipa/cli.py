@@ -207,9 +207,13 @@ def cmd_train(args, cfg: PipelineConfig, res: Resources) -> int:
         model = train(lex, order=order, em_iterations=iterations, scripts=res.scripts)
     model.save(args.output)
     stats = model.training_stats
+    log_likelihood = stats.get("log_likelihood") or [float("nan")]
     print(f"train: order {order}, {stats.get('trained_on', 0)} examples, "
           f"{stats.get('alignment_failures', 0)} alignment failures, "
-          f"{len(model.vocab)} vocabulary tokens")
+          f"{len(model.vocab)} vocabulary tokens; EM: "
+          f"{stats.get('ratio_skipped', 0)} ratio-skipped, "
+          f"{stats.get('unalignable', 0)} unalignable, "
+          f"log-likelihood {log_likelihood[-1]:.4f}")
     return 0
 
 
@@ -229,12 +233,16 @@ def cmd_predict(args, cfg: PipelineConfig, res: Resources) -> int:
         keys = ((lang_script_tag(e, res.scripts), e.ipa.text) for e in lex)
     queries = list(dict.fromkeys(keys))
     blocks = []
+    empty = 0
     for tag, ipa_text in queries:
         ipa = parse_ipa(ipa_text, res.inventory)
         cands = beam_decode(model, tag, ipa, n_best, beam_width)
+        empty += not cands
         blocks.append((tag, ipa_text, cands))
     write_candidates_tsv(args.output, blocks)
-    print(f"predict: {len(queries)} inputs, n_best {n_best}")
+    if empty:
+        print(f"warning: {empty} inputs decoded to no candidates", file=sys.stderr)
+    print(f"predict: {len(queries)} inputs, n_best {n_best}, {empty} without candidates")
     return 0
 
 

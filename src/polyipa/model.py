@@ -18,6 +18,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     AlignmentFailureError,
     CandidateParseError,
@@ -91,6 +93,201 @@ def _ratio_ok(m: int, n: int) -> bool:
     return max(m, n) <= _MAX_RATIO * min(m, n)
 
 
+_SHAPE_P = np.array([p for p, _ in _SHAPES])
+_SHAPE_G = np.array([g for _, g in _SHAPES])
+
+
+def _lattice_edges(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, shape index) of every edge of an m x n lattice, in the order
+    the per-row recursion visits them: source row-major, then _SHAPES."""
+    i = np.arange(m + 1)[:, None, None]
+    j = np.arange(n + 1)[None, :, None]
+    return np.nonzero((i + _SHAPE_P <= m) & (j + _SHAPE_G <= n))
+
+
+def _piece_codes(ids: np.ndarray, size: int) -> np.ndarray:
+    """Code of the piece ids[:, k:k + length] for every start k and length
+    0, 1, 2 (0 is the empty piece, then single ids, then id pairs), as an
+    array of shape (rows, len + 1, 3); pieces past the end read 0."""
+    rows, length = ids.shape
+    codes = np.zeros((rows, length + 1, 3), dtype=np.int64)
+    codes[:, :length, 1] = 1 + ids
+    codes[:, :length - 1, 2] = 1 + size + ids[:, :-1] * size + ids[:, 1:]
+    return codes
+
+
+def _piece(code: int, symbols: list[str]) -> tuple[str, ...]:
+    """The symbols of a piece code made by _piece_codes."""
+    size = len(symbols)
+    if code == 0:
+        return ()
+    if code <= size:
+        return (symbols[code - 1],)
+    first, second = divmod(code - 1 - size, size)
+    return (symbols[first], symbols[second])
+
+
+class _Lattices:
+    """The chunk lattices of all training rows as integer arrays, built once
+    per fit, with one batched forward-backward pass per EM iteration.
+
+    Cells (i, j) of all rows are numbered by anti-diagonal i + j, then row,
+    then i, so that each diagonal is one contiguous slice. Edges are stored
+    in the order the per-row recursion visits them (row, source cell
+    row-major, then _SHAPES). Alpha sums each cell's incoming edges in that
+    order and beta each cell's outgoing edges in reverse, and counts add up
+    in edge order, so every float sum is the one the per-row recursion
+    makes. Alpha and beta are scaled per row and diagonal by a power of two,
+    which is exact wherever the unscaled value is a normal float and keeps
+    long rows from underflowing (Rabiner 1989).
+    """
+
+    def __init__(self, rows: list[tuple[tuple[str, ...], str]]):
+        self._rows = len(rows)
+        m = np.array([len(segs) for segs, _ in rows], dtype=np.int64)
+        n = np.array([len(graph) for _, graph in rows], dtype=np.int64)
+        last = m + n
+        # (row, diagonal) entries, row by row, each row followed by one spare
+        # whose exponent stays 0: the scale a final cell's beta refers to
+        rd_base = np.concatenate(([0], np.cumsum(last + 2)))
+        rd_row = np.repeat(np.arange(self._rows), last + 2)
+        rd_diag = np.arange(rd_base[-1]) - rd_base[rd_row]
+        first_i = np.maximum(rd_diag - n[rd_row], 0)
+        width = np.maximum(np.minimum(m[rd_row], rd_diag) - first_i + 1, 0)
+        by_diag = np.lexsort((rd_row, rd_diag))
+        by_diag = by_diag[width[by_diag] > 0]
+        cell_end = np.cumsum(width[by_diag])
+        # cell (i, j) of row r is cell_start[rd_base[r] + i + j] + i
+        cell_start = np.zeros_like(width)
+        cell_start[by_diag] = cell_end - width[by_diag]
+        cell_start -= first_i
+        self._n_cells = int(width.sum())
+        self._n_rd = len(rd_row)
+        self._cell_row = np.repeat(rd_row[by_diag], width[by_diag]).astype(np.int32)
+        self._final_cell = cell_start[rd_base[:-1] + last] + m
+
+        shapes: dict[tuple[int, int], list[int]] = {}
+        for r, (segs, graph) in enumerate(rows):
+            shapes.setdefault((len(segs), len(graph)), []).append(r)
+        templates = {shape: _lattice_edges(*shape) for shape in shapes}
+        row_edges = np.zeros(self._rows, dtype=np.int64)
+        for shape, members in shapes.items():
+            row_edges[members] = len(templates[shape][0])
+        edge_base = np.concatenate(([0], np.cumsum(row_edges)))
+        n_edges = int(edge_base[-1])
+        seg_ids: dict[str, int] = {}
+        char_ids: dict[str, int] = {}
+        seg_codes = [[seg_ids.setdefault(s, len(seg_ids)) for s in segs] for segs, _ in rows]
+        char_codes = [[char_ids.setdefault(c, len(char_ids)) for c in graph]
+                      for _, graph in rows]
+        n_segs, n_chars = len(seg_ids), len(char_ids)
+        letter_codes = 1 + n_chars + n_chars * n_chars
+        src = np.empty(n_edges, dtype=np.int32)
+        tgt = np.empty(n_edges, dtype=np.int32)
+        keys = np.empty(n_edges, dtype=np.int64)
+        for shape, members in shapes.items():
+            ti, tj, ts = templates[shape]
+            tp, tg = _SHAPE_P[ts], _SHAPE_G[ts]
+            base = rd_base[members][:, None]
+            at = edge_base[members][:, None] + np.arange(len(ti))
+            src[at] = cell_start[base + ti + tj] + ti
+            tgt[at] = cell_start[base + ti + tp + tj + tg] + ti + tp
+            phones = _piece_codes(np.array([seg_codes[r] for r in members]), n_segs)
+            letters = _piece_codes(np.array([char_codes[r] for r in members]), n_chars)
+            keys[at] = phones[:, ti, tp] * letter_codes + letters[:, tj, tg]
+        codes, cid = np.unique(keys, return_inverse=True)
+        del keys, seg_codes, char_codes
+        self.n_chunks = len(codes)
+        self._codes = codes
+        self._symbols = (list(seg_ids), list(char_ids), letter_codes)
+        self._src, self._tgt, self._cid = src, tgt, cid.astype(np.int32)
+        # edges grouped by target, and by source with the shapes reversed
+        self._fwd = np.argsort(tgt, kind="stable").astype(np.int32)
+        self._bwd = (n_edges - 1 - np.argsort(src[::-1], kind="stable")).astype(np.int32)
+
+        diag_end = np.searchsorted(rd_diag[by_diag], np.arange(int(last.max(initial=-1)) + 1),
+                                   side="right")
+        cell_lo = np.concatenate(([0], cell_end[diag_end - 1]))
+        fwd_lo = np.searchsorted(tgt[self._fwd], cell_lo)
+        bwd_lo = np.searchsorted(src[self._bwd], cell_lo)
+        # per diagonal: its cells, its forward and backward edges, and its
+        # (row, diagonal) entries with their offsets and widths in the slice
+        self._diags = []
+        rd_lo = 0
+        for d, rd_hi in enumerate(diag_end.tolist()):
+            rds = by_diag[rd_lo:rd_hi]
+            lo = int(cell_lo[d])
+            self._diags.append((lo, int(cell_lo[d + 1]), int(fwd_lo[d]), int(fwd_lo[d + 1]),
+                                int(bwd_lo[d]), int(bwd_lo[d + 1]), rds,
+                                cell_start[rds] + first_i[rds] - lo, width[rds]))
+            rd_lo = rd_hi
+
+    def chunk(self, chunk_id: int) -> Chunk:
+        segs, chars, letter_codes = self._symbols
+        phones, letters = divmod(int(self._codes[chunk_id]), letter_codes)
+        return (_piece(phones, segs), "".join(_piece(letters, chars)))
+
+    @staticmethod
+    def _rescale(values, exps, cell_exps, lo, hi, rds, offsets, widths, ref):
+        """Scale each (row, diagonal) block of values[lo:hi] so that its
+        maximum lies in [0.5, 1), and record the block's exponent, relative
+        to the exponent of the (row, diagonal) entries ref."""
+        block = values[lo:hi]
+        shift = np.frexp(np.maximum.reduceat(block, offsets))[1]
+        values[lo:hi] = np.ldexp(block, -np.repeat(shift, widths))
+        exps[rds] = exps[ref] + shift
+        cell_exps[lo:hi] = np.repeat(exps[rds], widths)
+
+    def expected_counts(self, weights: np.ndarray):
+        """One E step under chunk weights: (expected count per chunk id, the
+        chunk ids in order of their first positive posterior, rows without
+        a path, sum of log z over the other rows)."""
+        src, tgt, cid = self._src, self._tgt, self._cid
+        alpha = np.zeros(self._n_cells)
+        beta = np.zeros(self._n_cells)
+        alpha[:self._rows] = 1.0  # diagonal 0 holds each row's start cell, in row order
+        beta[self._final_cell] = 1.0
+        # true alpha = alpha * 2 ** alpha_exp, kept per (row, diagonal) and per cell
+        ea, eb = np.zeros(self._n_rd, dtype=np.int32), np.zeros(self._n_rd, dtype=np.int32)
+        alpha_exp = np.zeros(self._n_cells, dtype=np.int32)
+        beta_exp = np.zeros(self._n_cells, dtype=np.int32)
+        for lo, hi, f0, f1, _, _, rds, offsets, widths in self._diags[1:]:
+            e = self._fwd[f0:f1]
+            s, t = src[e], tgt[e] - lo
+            v = alpha[s] * weights[cid[e]]
+            # to the scale of the same row's previous diagonal
+            np.ldexp(v, alpha_exp[s] - np.repeat(ea[rds - 1], widths)[t], out=v)
+            alpha[lo:hi] = np.bincount(t, v, hi - lo)
+            self._rescale(alpha, ea, alpha_exp, lo, hi, rds, offsets, widths, rds - 1)
+        for lo, hi, _, _, b0, b1, rds, offsets, widths in reversed(self._diags):
+            e = self._bwd[b0:b1]
+            s, t = src[e] - lo, tgt[e]
+            v = weights[cid[e]] * beta[t]
+            # to the scale of the same row's next diagonal
+            np.ldexp(v, beta_exp[t] - np.repeat(eb[rds + 1], widths)[s], out=v)
+            beta[lo:hi] += np.bincount(s, v, hi - lo)
+            self._rescale(beta, eb, beta_exp, lo, hi, rds, offsets, widths, rds + 1)
+        z = alpha[self._final_cell]
+        z_exp = alpha_exp[self._final_cell]
+        aligned = z > 0.0
+        row = self._cell_row[src]
+        post = alpha[src]
+        post *= weights[cid]
+        post *= beta[tgt]
+        post /= np.where(aligned, z, np.inf)[row]  # a row without a path counts nothing
+        shift = alpha_exp[src]
+        shift += beta_exp[tgt]
+        shift -= z_exp[row]
+        np.ldexp(post, shift, out=post)
+        counts = np.bincount(cid, post, self.n_chunks)
+        positive = np.flatnonzero(post > 0.0)
+        first = np.full(self.n_chunks, len(post))
+        np.minimum.at(first, cid[positive], positive)
+        order = np.argsort(first)[:np.count_nonzero(first < len(post))]
+        log_likelihood = float(np.log(z[aligned]).sum() + z_exp[aligned].sum() * math.log(2.0))
+        return counts, order, int((~aligned).sum()), log_likelihood
+
+
 class ChunkAligner:
     """EM-trained chunk probabilities and the Viterbi chunking they induce.
 
@@ -104,64 +301,34 @@ class ChunkAligner:
         self._logs: dict[Chunk, float] | None = None
 
     def fit(self, pairs: Sequence[tuple[tuple[str, ...], str]], iterations: int = 6,
-            min_prob: float = 1e-12) -> dict[str, int]:
-        """Run EM over (segments, grapheme) pairs; returns skip counters."""
+            min_prob: float = 1e-12) -> dict[str, int | list[float]]:
+        """Run EM over (segments, grapheme) pairs; returns skip counters and
+        the log-likelihood of every iteration that re-estimated the table
+        (the first under unit chunk weights, i.e. the log path counts)."""
         usable = [(tuple(segs), graph) for segs, graph in pairs
                   if _ratio_ok(len(segs), len(graph))]
         stats = {"pairs": len(pairs), "ratio_skipped": len(pairs) - len(usable),
-                 "unalignable": 0}
-        probs: dict[Chunk, float] = {}
-        for iteration in range(max(1, iterations)):
-            counts: dict[Chunk, float] = {}
-            uniform = iteration == 0
-            unalignable = 0
-            for segs, graph in usable:
-                if not self._accumulate(segs, graph, None if uniform else probs, counts):
-                    unalignable += 1
-            total = sum(counts.values())
+                 "unalignable": 0, "log_likelihood": []}
+        lattices = _Lattices(usable)
+        weights = np.ones(lattices.n_chunks)
+        kept = np.zeros(0, dtype=np.intp)
+        for _ in range(max(1, iterations)):
+            counts, order, unalignable, log_likelihood = lattices.expected_counts(weights)
+            values = counts[order]
+            # summed in the order each chunk first gets a positive posterior
+            total = sum(values.tolist())
             if total <= 0.0:
                 break
-            probs = {c: v / total for c, v in counts.items() if v / total >= min_prob}
+            values /= total
+            keep = values >= min_prob
+            kept = order[keep]
+            weights = np.zeros(lattices.n_chunks)
+            weights[kept] = values[keep]
             stats["unalignable"] = unalignable
-        self.probs = probs
+            stats["log_likelihood"].append(log_likelihood)
+        self.probs = {lattices.chunk(c): p for c, p in zip(kept.tolist(), weights[kept].tolist())}
         self._logs = None
         return stats
-
-    def _accumulate(self, segs: tuple[str, ...], graph: str,
-                    probs: dict[Chunk, float] | None,
-                    counts: dict[Chunk, float]) -> bool:
-        m, n = len(segs), len(graph)
-        alpha = [[0.0] * (n + 1) for _ in range(m + 1)]
-        alpha[0][0] = 1.0
-        edges: list[tuple[int, int, int, int, Chunk, float]] = []
-        for i in range(m + 1):
-            row = alpha[i]
-            for j in range(n + 1):
-                a = row[j]
-                if a == 0.0 and (i, j) != (0, 0):
-                    continue
-                for p, g in _SHAPES:
-                    i2, j2 = i + p, j + g
-                    if i2 > m or j2 > n:
-                        continue
-                    chunk = (segs[i:i2], graph[j:j2])
-                    w = 1.0 if probs is None else probs.get(chunk, 0.0)
-                    if w == 0.0:
-                        continue
-                    alpha[i2][j2] += a * w
-                    edges.append((i, j, i2, j2, chunk, w))
-        z = alpha[m][n]
-        if z <= 0.0:
-            return False
-        beta = [[0.0] * (n + 1) for _ in range(m + 1)]
-        beta[m][n] = 1.0
-        for i, j, i2, j2, chunk, w in reversed(edges):
-            beta[i][j] += w * beta[i2][j2]
-        for i, j, i2, j2, chunk, w in edges:
-            posterior = alpha[i][j] * w * beta[i2][j2] / z
-            if posterior > 0.0:
-                counts[chunk] = counts.get(chunk, 0.0) + posterior
-        return True
 
     def _log_probs(self) -> dict[Chunk, float]:
         if self._logs is None:
@@ -237,7 +404,7 @@ class JointModel:
         aligner: ChunkAligner,
         counts: dict[tuple, dict[Token, int]],
         tags: frozenset[str],
-        training_stats: dict[str, int] | None = None,
+        training_stats: dict[str, int | list[float]] | None = None,
     ):
         if order < 1:
             raise ValueError("order must be >= 1")
@@ -424,7 +591,7 @@ def _train_tagged(
     discount: float,
     aligner: ChunkAligner | None,
 ) -> JointModel:
-    stats: dict[str, int] = {}
+    stats: dict[str, int | list[float]] = {}
     if aligner is None:
         aligner = ChunkAligner()
         stats = aligner.fit([(segs, graph) for _, segs, graph in tagged],

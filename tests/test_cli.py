@@ -156,6 +156,27 @@ def test_predict_names_malformed_query_line(pipeline, tmp_path, capsys):
     assert "q.tsv: line 2: expected tag<TAB>ipa" in capsys.readouterr().err
 
 
+def test_predict_reports_empty_decodes(pipeline, tmp_path, capsys):
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("<eo>\tpato\n<eo>\tθa\n", encoding="utf-8")
+    out = tmp_path / "c.tsv"
+    assert run_cli(["predict", "--model", str(pipeline["model"]),
+                    "--input", str(queries), "--n-best", "2",
+                    "--output", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "predict: 2 inputs, n_best 2, 1 without candidates" in captured.out
+    assert "warning: 1 inputs decoded to no candidates" in captured.err
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines and all(line.split("\t")[1] == "pato" for line in lines)
+
+
+def test_train_reports_em_counters(pipeline, tmp_path, capsys):
+    assert run_cli(["train", "--input", str(pipeline["splits"] / "train.tsv"),
+                    "--order", "3", "--output", str(tmp_path / "m")]) == 0
+    line = capsys.readouterr().out.strip()
+    assert "; EM: 0 ratio-skipped, 0 unalignable, log-likelihood -" in line
+
+
 def test_train_reads_stdin_once(pipeline, tmp_path, monkeypatch):
     rows = pipeline["splits"] / "train.tsv"
     monkeypatch.setattr(sys, "stdin", io.StringIO(rows.read_text(encoding="utf-8")))

@@ -8,8 +8,10 @@ import random
 
 import pytest
 
+import _reference_em
 from _synth import shallow_lexicon
 from polyipa import (
+    AlignedPair,
     Candidate,
     ChunkAligner,
     JointModel,
@@ -93,7 +95,79 @@ def test_alignment_fails_without_covering_chunks():
 def test_fit_counts_ratio_skips():
     aligner = ChunkAligner()
     stats = aligner.fit([(("a",), "a"), (("a",), "aaaaa")])
-    assert stats == {"pairs": 2, "ratio_skipped": 1, "unalignable": 0}
+    # the first pass weights the three paths through a 1:1 lattice by 1 each
+    assert stats == {"pairs": 2, "ratio_skipped": 1, "unalignable": 0,
+                     "log_likelihood": pytest.approx(
+                         [math.log(3.0), math.log(0.52), -0.6380064218811454,
+                          -0.6119370330540815, -0.5671501147243052, -0.48795971874034866],
+                         rel=1e-12)}
+
+
+def _pairs(lex):
+    return [(tuple(s.text for s in e.ipa.segments), e.grapheme) for e in lex]
+
+
+def _mixed_stream():
+    """Exact duplicates, 1-segment rows, ratio-skipped rows, rows of 12+
+    segments, and rows whose only chunk is rare."""
+    base = _pairs(shallow_lexicon(120, seed=5))
+    long_rows = [(sum((segs for segs, _ in base[k:k + 5]), ()),
+                  "".join(graph for _, graph in base[k:k + 5]))
+                 for k in range(0, 50, 5)]
+    assert all(len(segs) >= 12 for segs, _ in long_rows)
+    singles = [(("a",), "a"), (("ʃ",), "sh"), (("t͡ʃ",), "ch"), (("x",), "q"),
+               (("k",), "c")]
+    skipped = [(("a",), "aaaaa"), ((), "a"), (("p", "a"), ""),
+               (("a", "b", "c", "d", "e", "f", "g", "h", "i"), "ab")]
+    rows = base[:60] + singles + long_rows + base[:25] + skipped + base[60:] + singles[:2]
+    rows.insert(7, rows[3])
+    return rows
+
+
+def _assert_matches_reference(pairs, **kwargs):
+    ref_probs, ref_stats = _reference_em.fit(pairs, **kwargs)
+    aligner = ChunkAligner()
+    stats = aligner.fit(pairs, **kwargs)
+    assert list(aligner.probs) == list(ref_probs)
+    assert all(aligner.probs[c] == p for c, p in ref_probs.items())
+    log_likelihood = stats.pop("log_likelihood")
+    assert stats == ref_stats
+    assert len(log_likelihood) == max(1, kwargs.get("iterations", 6))
+    return stats, log_likelihood
+
+
+def test_fit_matches_reference_em_bit_for_bit():
+    _, log_likelihood = _assert_matches_reference(_pairs(shallow_lexicon(300, seed=21)))
+    # EM never lowers the likelihood once the weights are probabilities
+    assert all(b >= a - 1e-6 for a, b in zip(log_likelihood[1:], log_likelihood[2:]))
+
+
+def test_fit_matches_reference_em_on_mixed_stream():
+    stats, _ = _assert_matches_reference(_mixed_stream())
+    assert stats["ratio_skipped"] == 4
+
+
+@pytest.mark.parametrize("iterations", [1, 6])
+def test_fit_matches_reference_em_with_pruned_chunks(iterations):
+    stats, _ = _assert_matches_reference(_mixed_stream(), iterations=iterations,
+                                         min_prob=1e-3)
+    if iterations > 1:
+        assert stats["unalignable"] > 0  # rows whose only chunk was pruned
+
+
+def test_fit_does_not_underflow_on_a_long_row():
+    pairs = _pairs(shallow_lexicon(300, seed=21))
+    segs = tuple(s for row, _ in pairs[:70] for s in row)
+    graph = "".join(g for _, g in pairs[:70])
+    assert len(segs) > 300
+    aligner = ChunkAligner()
+    stats = aligner.fit(pairs + [(segs, graph)])
+    assert stats["unalignable"] == 0
+    assert all(math.isfinite(v) for v in stats["log_likelihood"])
+    assert all(math.isfinite(p) and p > 0.0 for p in aligner.probs.values())
+    chunks = aligner.viterbi(segs, graph)
+    assert AlignedPair(chunks).phonemes == segs
+    assert AlignedPair(chunks).grapheme == graph
 
 
 # training and probabilities
