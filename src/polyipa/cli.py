@@ -207,13 +207,13 @@ def cmd_train(args, cfg: PipelineConfig, res: Resources) -> int:
         model = train(lex, order=order, em_iterations=iterations, scripts=res.scripts)
     model.save(args.output)
     stats = model.training_stats
-    log_likelihood = stats.get("log_likelihood") or [float("nan")]
+    log_likelihood = stats.get("log_likelihood")
     print(f"train: order {order}, {stats.get('trained_on', 0)} examples, "
           f"{stats.get('alignment_failures', 0)} alignment failures, "
           f"{len(model.vocab)} vocabulary tokens; EM: "
           f"{stats.get('ratio_skipped', 0)} ratio-skipped, "
-          f"{stats.get('unalignable', 0)} unalignable, "
-          f"log-likelihood {log_likelihood[-1]:.4f}")
+          f"{stats.get('unalignable', 0)} unalignable"
+          + (f", log-likelihood {log_likelihood[-1]:.4f}" if log_likelihood else ""))
     return 0
 
 

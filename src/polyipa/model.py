@@ -54,6 +54,8 @@ BOS: Token = ("<s>",)
 EOS: Token = ("</s>",)
 
 _MAX_RATIO = 4
+# training rows per compiled block of EM lattices
+_BLOCK_ROWS = 1024
 _SHAPES = tuple((p, g) for p in range(3) for g in range(3) if (p, g) != (0, 0))
 
 
@@ -97,6 +99,12 @@ _SHAPE_P = np.array([p for p, _ in _SHAPES])
 _SHAPE_G = np.array([g for _, g in _SHAPES])
 
 
+def _edge_count(m: int, n: int) -> int:
+    """Number of edges of an m x n lattice, m, n >= 1: each of p, g in 0..2
+    has m + 1 - p and n + 1 - g starts, less the (m + 1)(n + 1) of 0:0."""
+    return 9 * m * n - (m + 1) * (n + 1)
+
+
 def _lattice_edges(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(i, j, shape index) of every edge of an m x n lattice, in the order
     the per-row recursion visits them: source row-major, then _SHAPES."""
@@ -127,22 +135,26 @@ def _piece(code: int, symbols: list[str]) -> tuple[str, ...]:
     return (symbols[first], symbols[second])
 
 
-class _Lattices:
-    """The chunk lattices of all training rows as integer arrays, built once
-    per fit, with one batched forward-backward pass per EM iteration.
+class _Block:
+    """The chunk lattices of one block of training rows as integer arrays,
+    built once per fit, with one batched forward-backward pass per EM
+    iteration. Identical rows share one lattice: rows are the block's
+    distinct rows, and copies gives the distinct row of every row.
 
-    Cells (i, j) of all rows are numbered by anti-diagonal i + j, then row,
-    then i, so that each diagonal is one contiguous slice. Edges are stored
-    in the order the per-row recursion visits them (row, source cell
-    row-major, then _SHAPES). Alpha sums each cell's incoming edges in that
-    order and beta each cell's outgoing edges in reverse, and counts add up
-    in edge order, so every float sum is the one the per-row recursion
-    makes. Alpha and beta are scaled per row and diagonal by a power of two,
-    which is exact wherever the unscaled value is a normal float and keeps
-    long rows from underflowing (Rabiner 1989).
+    Cells (i, j) of all distinct rows are numbered by anti-diagonal i + j,
+    then row, then i, so that each diagonal is one contiguous slice. Edges
+    are stored in the order the per-row recursion visits them (row, source
+    cell row-major, then _SHAPES). Alpha sums each cell's incoming edges in
+    that order and beta each cell's outgoing edges in reverse, and counts
+    add up in edge order, so every float sum is the one the per-row
+    recursion makes. Alpha and beta are scaled per row and diagonal by a
+    power of two, which is exact wherever the unscaled value is a normal
+    float and keeps long rows from underflowing (Rabiner 1989).
     """
 
-    def __init__(self, rows: list[tuple[tuple[str, ...], str]]):
+    def __init__(self, rows: list[tuple[tuple[str, ...], str]], copies: list[int],
+                 seg_ids: dict[str, int], char_ids: dict[str, int],
+                 fields: list[np.ndarray]):
         self._rows = len(rows)
         m = np.array([len(segs) for segs, _ in rows], dtype=np.int64)
         n = np.array([len(graph) for _, graph in rows], dtype=np.int64)
@@ -175,15 +187,10 @@ class _Lattices:
             row_edges[members] = len(templates[shape][0])
         edge_base = np.concatenate(([0], np.cumsum(row_edges)))
         n_edges = int(edge_base[-1])
-        seg_ids: dict[str, int] = {}
-        char_ids: dict[str, int] = {}
-        seg_codes = [[seg_ids.setdefault(s, len(seg_ids)) for s in segs] for segs, _ in rows]
-        char_codes = [[char_ids.setdefault(c, len(char_ids)) for c in graph]
-                      for _, graph in rows]
         n_segs, n_chars = len(seg_ids), len(char_ids)
         letter_codes = 1 + n_chars + n_chars * n_chars
-        src = np.empty(n_edges, dtype=np.int32)
-        tgt = np.empty(n_edges, dtype=np.int32)
+        # five int32 arrays of n_edges entries, filled here
+        src, tgt, cid, fwd, bwd = fields
         keys = np.empty(n_edges, dtype=np.int64)
         for shape, members in shapes.items():
             ti, tj, ts = templates[shape]
@@ -192,18 +199,21 @@ class _Lattices:
             at = edge_base[members][:, None] + np.arange(len(ti))
             src[at] = cell_start[base + ti + tj] + ti
             tgt[at] = cell_start[base + ti + tp + tj + tg] + ti + tp
-            phones = _piece_codes(np.array([seg_codes[r] for r in members]), n_segs)
-            letters = _piece_codes(np.array([char_codes[r] for r in members]), n_chars)
+            phones = _piece_codes(np.array([[seg_ids[s] for s in rows[r][0]] for r in members]),
+                                  n_segs)
+            letters = _piece_codes(np.array([[char_ids[c] for c in rows[r][1]] for r in members]),
+                                   n_chars)
             keys[at] = phones[:, ti, tp] * letter_codes + letters[:, tj, tg]
-        codes, cid = np.unique(keys, return_inverse=True)
-        del keys, seg_codes, char_codes
-        self.n_chunks = len(codes)
-        self._codes = codes
-        self._symbols = (list(seg_ids), list(char_ids), letter_codes)
-        self._src, self._tgt, self._cid = src, tgt, cid.astype(np.int32)
+        self.codes, cid[:] = np.unique(keys, return_inverse=True)
+        del keys
+        self._src, self._tgt, self._cid = src, tgt, cid
         # edges grouped by target, and by source with the shapes reversed
-        self._fwd = np.argsort(tgt, kind="stable").astype(np.int32)
-        self._bwd = (n_edges - 1 - np.argsort(src[::-1], kind="stable")).astype(np.int32)
+        fwd[:] = np.argsort(tgt, kind="stable")
+        bwd[:] = n_edges - 1 - np.argsort(src[::-1], kind="stable")
+        self._fwd, self._bwd = fwd, bwd
+        # the distinct row of every row, and the first edge of every distinct row
+        self._copies = np.array(copies, dtype=np.intp)
+        self._edge_base = edge_base
 
         diag_end = np.searchsorted(rd_diag[by_diag], np.arange(int(last.max(initial=-1)) + 1),
                                    side="right")
@@ -222,10 +232,9 @@ class _Lattices:
                                 cell_start[rds] + first_i[rds] - lo, width[rds]))
             rd_lo = rd_hi
 
-    def chunk(self, chunk_id: int) -> Chunk:
-        segs, chars, letter_codes = self._symbols
-        phones, letters = divmod(int(self._codes[chunk_id]), letter_codes)
-        return (_piece(phones, segs), "".join(_piece(letters, chars)))
+    def number_chunks(self, codes: np.ndarray) -> None:
+        """Renumber the block's chunk ids as indices into the sorted codes."""
+        self._cid[:] = np.searchsorted(codes, self.codes)[self._cid]
 
     @staticmethod
     def _rescale(values, exps, cell_exps, lo, hi, rds, offsets, widths, ref):
@@ -238,19 +247,14 @@ class _Lattices:
         exps[rds] = exps[ref] + shift
         cell_exps[lo:hi] = np.repeat(exps[rds], widths)
 
-    def expected_counts(self, weights: np.ndarray):
-        """One E step under chunk weights: (expected count per chunk id, the
-        chunk ids in order of their first positive posterior, rows without
-        a path, sum of log z over the other rows)."""
+    def _forward(self, weights: np.ndarray):
+        """Scaled alpha and its exponent per cell."""
         src, tgt, cid = self._src, self._tgt, self._cid
         alpha = np.zeros(self._n_cells)
-        beta = np.zeros(self._n_cells)
         alpha[:self._rows] = 1.0  # diagonal 0 holds each row's start cell, in row order
-        beta[self._final_cell] = 1.0
         # true alpha = alpha * 2 ** alpha_exp, kept per (row, diagonal) and per cell
-        ea, eb = np.zeros(self._n_rd, dtype=np.int32), np.zeros(self._n_rd, dtype=np.int32)
+        ea = np.zeros(self._n_rd, dtype=np.int32)
         alpha_exp = np.zeros(self._n_cells, dtype=np.int32)
-        beta_exp = np.zeros(self._n_cells, dtype=np.int32)
         for lo, hi, f0, f1, _, _, rds, offsets, widths in self._diags[1:]:
             e = self._fwd[f0:f1]
             s, t = src[e], tgt[e] - lo
@@ -259,6 +263,23 @@ class _Lattices:
             np.ldexp(v, alpha_exp[s] - np.repeat(ea[rds - 1], widths)[t], out=v)
             alpha[lo:hi] = np.bincount(t, v, hi - lo)
             self._rescale(alpha, ea, alpha_exp, lo, hi, rds, offsets, widths, rds - 1)
+        return alpha, alpha_exp
+
+    def z(self, weights: np.ndarray):
+        """Scaled z and its exponent for every row of the block."""
+        alpha, alpha_exp = self._forward(weights)
+        final = self._final_cell[self._copies]
+        return alpha[final], alpha_exp[final]
+
+    def posteriors(self, weights: np.ndarray):
+        """(chunk id, posterior) of every edge of every row in row order, 0
+        for rows without a path, and scaled z and its exponent per row."""
+        src, tgt, cid = self._src, self._tgt, self._cid
+        alpha, alpha_exp = self._forward(weights)
+        beta = np.zeros(self._n_cells)
+        beta[self._final_cell] = 1.0
+        eb = np.zeros(self._n_rd, dtype=np.int32)
+        beta_exp = np.zeros(self._n_cells, dtype=np.int32)
         for lo, hi, _, _, b0, b1, rds, offsets, widths in reversed(self._diags):
             e = self._bwd[b0:b1]
             s, t = src[e] - lo, tgt[e]
@@ -269,23 +290,89 @@ class _Lattices:
             self._rescale(beta, eb, beta_exp, lo, hi, rds, offsets, widths, rds + 1)
         z = alpha[self._final_cell]
         z_exp = alpha_exp[self._final_cell]
-        aligned = z > 0.0
-        row = self._cell_row[src]
+        row = self._cell_row
         post = alpha[src]
         post *= weights[cid]
         post *= beta[tgt]
-        post /= np.where(aligned, z, np.inf)[row]  # a row without a path counts nothing
+        post /= np.where(z > 0.0, z, np.inf)[row][src]  # a row without a path counts nothing
+        alpha_exp -= z_exp[row]  # from here on relative to the row's z
         shift = alpha_exp[src]
         shift += beta_exp[tgt]
-        shift -= z_exp[row]
         np.ldexp(post, shift, out=post)
-        counts = np.bincount(cid, post, self.n_chunks)
-        positive = np.flatnonzero(post > 0.0)
-        first = np.full(self.n_chunks, len(post))
-        np.minimum.at(first, cid[positive], positive)
-        order = np.argsort(first)[:np.count_nonzero(first < len(post))]
-        log_likelihood = float(np.log(z[aligned]).sum() + z_exp[aligned].sum() * math.log(2.0))
-        return counts, order, int((~aligned).sum()), log_likelihood
+        # the edges of every row of the block, copies included, in row order
+        start = self._edge_base[self._copies]
+        sizes = self._edge_base[self._copies + 1] - start
+        edges = np.arange(int(sizes.sum())) + np.repeat(start - np.cumsum(sizes) + sizes, sizes)
+        return cid[edges], post[edges], z[self._copies], z_exp[self._copies]
+
+
+class _Lattices:
+    """The chunk lattices of all training rows, compiled in blocks of
+    _BLOCK_ROWS rows so that the arrays of one pass stay bounded, with chunk
+    ids shared by all blocks. Counts add up block by block in row order
+    (np.add.at adds in index order), as one pass over all rows would."""
+
+    def __init__(self, rows: list[tuple[tuple[str, ...], str]]):
+        seg_ids: dict[str, int] = {}
+        char_ids: dict[str, int] = {}
+        for segs, graph in rows:
+            for s in segs:
+                seg_ids.setdefault(s, len(seg_ids))
+            for c in graph:
+                char_ids.setdefault(c, len(char_ids))
+        blocks = []
+        for b in range(0, len(rows), _BLOCK_ROWS):
+            distinct: dict[tuple[tuple[str, ...], str], int] = {}
+            copies = [distinct.setdefault(row, len(distinct)) for row in rows[b:b + _BLOCK_ROWS]]
+            blocks.append((list(distinct), copies))
+        ends = np.cumsum([0] + [sum(_edge_count(len(segs), len(graph)) for segs, graph in distinct)
+                                for distinct, _ in blocks])
+        # one allocation per edge field for all blocks: many block-sized
+        # arrays land in the C heap, which keeps their pages after the fit
+        fields = [np.empty(int(ends[-1]), dtype=np.int32) for _ in range(5)]
+        self._blocks = [_Block(distinct, copies, seg_ids, char_ids, [f[lo:hi] for f in fields])
+                        for (distinct, copies), lo, hi in zip(blocks, ends[:-1], ends[1:])]
+        self._codes = np.unique(np.concatenate([np.zeros(0, dtype=np.int64)]
+                                               + [block.codes for block in self._blocks]))
+        for block in self._blocks:
+            block.number_chunks(self._codes)
+        self.n_chunks = len(self._codes)
+        self._symbols = (list(seg_ids), list(char_ids), 1 + len(char_ids) + len(char_ids) ** 2)
+
+    def chunk(self, chunk_id: int) -> Chunk:
+        segs, chars, letter_codes = self._symbols
+        phones, letters = divmod(int(self._codes[chunk_id]), letter_codes)
+        return (_piece(phones, segs), "".join(_piece(letters, chars)))
+
+    def expected_counts(self, weights: np.ndarray):
+        """One E step under chunk weights: (expected count per chunk id, the
+        chunk ids in order of their first positive posterior, rows without
+        a path, sum of log z over the other rows)."""
+        counts = np.zeros(self.n_chunks)
+        never = np.iinfo(np.int64).max
+        first = np.full(self.n_chunks, never)
+        edges = unalignable = 0
+        log_z = []
+        for block in self._blocks:
+            cid, post, z, z_exp = block.posteriors(weights)
+            np.add.at(counts, cid, post)
+            positive = np.flatnonzero(post > 0.0)
+            np.minimum.at(first, cid[positive], edges + positive)
+            edges += len(post)
+            unalignable += int(np.count_nonzero(z <= 0.0))
+            log_z.append(_log_z(z, z_exp))
+        order = np.argsort(first)[:np.count_nonzero(first < never)]
+        return counts, order, unalignable, sum(log_z)
+
+    def log_likelihood(self, weights: np.ndarray) -> float:
+        """Sum of log z over the rows with a path under chunk weights."""
+        return sum(_log_z(*block.z(weights)) for block in self._blocks)
+
+
+def _log_z(z: np.ndarray, z_exp: np.ndarray) -> float:
+    """Sum of log(z * 2 ** z_exp) over the rows with z > 0."""
+    aligned = z > 0.0
+    return float(np.log(z[aligned]).sum() + z_exp[aligned].sum() * math.log(2.0))
 
 
 class ChunkAligner:
@@ -302,18 +389,21 @@ class ChunkAligner:
 
     def fit(self, pairs: Sequence[tuple[tuple[str, ...], str]], iterations: int = 6,
             min_prob: float = 1e-12) -> dict[str, int | list[float]]:
-        """Run EM over (segments, grapheme) pairs; returns skip counters and
-        the log-likelihood of every iteration that re-estimated the table
-        (the first under unit chunk weights, i.e. the log path counts)."""
+        """Run EM over (segments, grapheme) pairs; returns skip counters and,
+        per iteration, the log-likelihood of the table it made: the sum of
+        log z over the rows that table aligns."""
         usable = [(tuple(segs), graph) for segs, graph in pairs
                   if _ratio_ok(len(segs), len(graph))]
+        log_likelihood: list[float] = []
         stats = {"pairs": len(pairs), "ratio_skipped": len(pairs) - len(usable),
-                 "unalignable": 0, "log_likelihood": []}
+                 "unalignable": 0, "log_likelihood": log_likelihood}
         lattices = _Lattices(usable)
         weights = np.ones(lattices.n_chunks)
         kept = np.zeros(0, dtype=np.intp)
-        for _ in range(max(1, iterations)):
-            counts, order, unalignable, log_likelihood = lattices.expected_counts(weights)
+        for k in range(max(1, iterations)):
+            counts, order, unalignable, previous = lattices.expected_counts(weights)
+            if k:  # the log-likelihood of the table the last iteration made
+                log_likelihood.append(previous)
             values = counts[order]
             # summed in the order each chunk first gets a positive posterior
             total = sum(values.tolist())
@@ -325,7 +415,8 @@ class ChunkAligner:
             weights = np.zeros(lattices.n_chunks)
             weights[kept] = values[keep]
             stats["unalignable"] = unalignable
-            stats["log_likelihood"].append(log_likelihood)
+        else:  # and that of the final table, by one more forward pass
+            log_likelihood.append(lattices.log_likelihood(weights))
         self.probs = {lattices.chunk(c): p for c, p in zip(kept.tolist(), weights[kept].tolist())}
         self._logs = None
         return stats
