@@ -221,9 +221,6 @@ def cmd_predict(args, cfg: PipelineConfig, res: Resources) -> int:
     model = JointModel.load(args.model)
     n_best = args.n_best if args.n_best is not None else cfg.n_best
     beam_width = args.beam_width if args.beam_width is not None else cfg.beam_width
-    if args.verbose:
-        print(f"predict: beam width {effective_beam_width(n_best, beam_width)}",
-              file=sys.stderr)
     source = _input(args.input)
     if _first_data_columns(source) == 2:
         rows = _tsv_rows(source, 2, "tag<TAB>ipa")
@@ -242,7 +239,8 @@ def cmd_predict(args, cfg: PipelineConfig, res: Resources) -> int:
     write_candidates_tsv(args.output, blocks)
     if empty:
         print(f"warning: {empty} inputs decoded to no candidates", file=sys.stderr)
-    print(f"predict: {len(queries)} inputs, n_best {n_best}, {empty} without candidates")
+    print(f"predict: {len(queries)} inputs, n_best {n_best}, "
+          f"beam width {effective_beam_width(n_best, beam_width)}, {empty} without candidates")
     return 0
 
 
@@ -362,7 +360,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n-best", type=int, help="candidates per input")
     p.add_argument("--beam-width", type=int,
                    help="beam width (default 3 times n-best)")
-    p.add_argument("--verbose", action="store_true", help="log decode settings")
     p.add_argument("--output", required=True, help="candidates TSV")
     p.set_defaults(func=cmd_predict)
 

@@ -28,7 +28,7 @@ from .errors import (
     NonMonotoneScoresError,
     UnknownTagWarning,
 )
-from .ipa import IpaString, _read_lines, _tsv_rows
+from .ipa import IpaString, _tsv_rows
 from .lexicon import Lexicon, PronEntry, ScriptTable, lang_script_tag
 
 __all__ = [
@@ -54,6 +54,8 @@ BOS: Token = ("<s>",)
 EOS: Token = ("</s>",)
 
 _MAX_RATIO = 4
+_FORMAT = "polyipa-joint-model"
+_VERSION = 2
 # training rows per compiled block of EM lattices
 _BLOCK_ROWS = 1024
 _SHAPES = tuple((p, g) for p in range(3) for g in range(3) if (p, g) != (0, 0))
@@ -522,23 +524,23 @@ class JointModel:
         return self._prob(token, context)
 
     def _prob(self, token: Token, context: tuple) -> float:
+        # an unseen history puts full weight on its longest trained suffix, so
+        # the cache holds trained contexts only and stays bounded by the model
+        while context and context not in self.counts:
+            context = context[1:]
         key = (context, token)
         cached = self._prob_cache.get(key)
         if cached is not None:
             return cached
+        uniform = 1.0 / max(1, len(self.vocab))
         bucket = self.counts.get(context)
         if bucket is None:
-            # unseen history: full weight on the shorter one
-            value = self._prob(token, context[1:]) if context else 1.0 / max(1, len(self.vocab))
+            value = uniform
         else:
             total, distinct = self._ctx_stats[context]
             hi = max(bucket.get(token, 0) - self.discount, 0.0) / total
             lam = self.discount * distinct / total
-            if context:
-                lower = self._prob(token, context[1:])
-            else:
-                lower = 1.0 / max(1, len(self.vocab))
-            value = hi + lam * lower
+            value = hi + lam * (self._prob(token, context[1:]) if context else uniform)
         self._prob_cache[key] = value
         return value
 
@@ -560,79 +562,52 @@ class JointModel:
     # -- serialization ----------------------------------------------------
 
     def save(self, path) -> None:
-        """Line-based text dump; counts are integers, probabilities are hex
-        floats, so a load() round-trip is bit-exact."""
-        chunk_lines = sorted(
-            f"{_token_to_json(_chunk_token(c))}\t{p.hex()}"
-            for c, p in self.aligner.probs.items()
-        )
-        ngram_lines = sorted(
-            f"{json.dumps([[_token_list(t) for t in ctx], _token_list(tok)], ensure_ascii=False)}\t{cnt}"
-            for ctx, bucket in self.counts.items()
-            for tok, cnt in bucket.items()
-        )
-        tag_lines = sorted(self.tags)
+        """Write the model as one JSON document. Every token is stored once in
+        a table and n-grams refer to it by index; json writes floats by their
+        shortest round-trip repr, so a load() round trip is bit-exact, and
+        sorting keeps retraining byte-identical."""
+        tokens = sorted(self.vocab.union(*self.counts))
+        ids = {tok: i for i, tok in enumerate(tokens)}
+        ngrams = []
+        for ctx, bucket in self.counts.items():
+            head = [ids[t] for t in ctx]
+            ngrams.extend(head + [ids[tok], cnt] for tok, cnt in bucket.items())
+        ngrams.sort()
+        doc = {
+            "format": _FORMAT,
+            "version": _VERSION,
+            "order": self.order,
+            "discount": self.discount,
+            "tags": sorted(self.tags),
+            "chunks": sorted((segs, graph, p) for (segs, graph), p in self.aligner.probs.items()),
+            "tokens": tokens,
+            "ngrams": ngrams,
+        }
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("polyipa-joint-model\t1\n")
-            fh.write(f"order\t{self.order}\n")
-            fh.write(f"discount\t{self.discount.hex()}\n")
-            fh.write(f"tags\t{len(tag_lines)}\n")
-            for line in tag_lines:
-                fh.write(line + "\n")
-            fh.write(f"chunks\t{len(chunk_lines)}\n")
-            for line in chunk_lines:
-                fh.write(line + "\n")
-            fh.write(f"ngrams\t{len(ngram_lines)}\n")
-            for line in ngram_lines:
-                fh.write(line + "\n")
+            fh.write(json.dumps(doc, ensure_ascii=False))
 
     @classmethod
     def load(cls, path) -> "JointModel":
-        lines = _read_lines(path)
-        pos = 0
-
-        def expect(label: str) -> str:
-            nonlocal pos
-            if pos >= len(lines):
-                raise ValueError(f"model file truncated, expected {label}")
-            name, _, value = lines[pos].partition("\t")
-            if name != label:
-                raise ValueError(f"model file: expected {label}, got {name!r}")
-            pos += 1
-            return value
-
-        if expect("polyipa-joint-model") != "1":
-            raise ValueError("unsupported model file version")
-        order = int(expect("order"))
-        discount = float.fromhex(expect("discount"))
-        tags = set()
-        for _ in range(int(expect("tags"))):
-            tags.add(lines[pos])
-            pos += 1
-        probs: dict[Chunk, float] = {}
-        for _ in range(int(expect("chunks"))):
-            raw, _, hexval = lines[pos].partition("\t")
-            tok = _token_from_list(json.loads(raw))
-            probs[(tok[1], tok[2])] = float.fromhex(hexval)
-            pos += 1
-        counts: dict[tuple, dict[Token, int]] = {}
-        for _ in range(int(expect("ngrams"))):
-            raw, _, cnt = lines[pos].partition("\t")
-            ctx_raw, tok_raw = json.loads(raw)
-            ctx = tuple(_token_from_list(t) for t in ctx_raw)
-            counts.setdefault(ctx, {})[_token_from_list(tok_raw)] = int(cnt)
-            pos += 1
-        return cls(order, discount, ChunkAligner(probs), counts, frozenset(tags))
-
-
-def _token_list(token: Token) -> list:
-    if token[0] == "chunk":
-        return ["chunk", list(token[1]), token[2]]
-    return list(token)
-
-
-def _token_to_json(token: Token) -> str:
-    return json.dumps(_token_list(token), ensure_ascii=False)
+        """Read a file written by save(); anything else raises ValueError
+        naming the path."""
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        try:
+            doc = json.loads(text)
+            if not isinstance(doc, dict) or (doc.get("format"), doc.get("version")) != (
+                    _FORMAT, _VERSION):
+                raise ValueError(f"not a {_FORMAT} document of version {_VERSION}")
+            tokens = [_token_from_list(raw) for raw in doc["tokens"]]
+            by_ids: dict[tuple, dict[Token, int]] = {}
+            for *ctx, tok, cnt in doc["ngrams"]:
+                by_ids.setdefault(tuple(ctx), {})[tokens[tok]] = cnt
+            counts = {tuple(tokens[i] for i in ctx): bucket for ctx, bucket in by_ids.items()}
+            probs = {(tuple(segs), graph): p for segs, graph, p in doc["chunks"]}
+            return cls(doc["order"], doc["discount"], ChunkAligner(probs), counts,
+                       frozenset(doc["tags"]))
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: not a readable model file "
+                             f"({type(exc).__name__}: {exc})") from None
 
 
 def _token_from_list(raw: list) -> Token:

@@ -122,19 +122,18 @@ def test_retrain_and_repredict_are_byte_identical(pipeline):
     assert cands2.read_bytes() == pipeline["cands"].read_bytes()
 
 
-def test_predict_verbose_logs_beam_width(pipeline, tmp_path, capsys):
+def test_predict_reports_beam_width(pipeline, tmp_path, capsys):
     queries = tmp_path / "queries.tsv"
     queries.write_text("<eo>\tpato\n", encoding="utf-8")
     out = tmp_path / "c.tsv"
     assert run_cli(["predict", "--model", str(pipeline["model"]),
-                    "--input", str(queries), "--n-best", "30", "--verbose",
+                    "--input", str(queries), "--n-best", "30",
                     "--output", str(out)]) == 0
-    assert "predict: beam width 90" in capsys.readouterr().err
+    assert "n_best 30, beam width 90," in capsys.readouterr().out
     assert run_cli(["predict", "--model", str(pipeline["model"]),
                     "--input", str(queries), "--n-best", "30",
-                    "--beam-width", "7", "--verbose",
-                    "--output", str(out)]) == 0
-    assert "predict: beam width 7" in capsys.readouterr().err
+                    "--beam-width", "7", "--output", str(out)]) == 0
+    assert "n_best 30, beam width 7," in capsys.readouterr().out
 
 
 def test_predict_deduplicates_queries(pipeline, tmp_path):
@@ -164,7 +163,7 @@ def test_predict_reports_empty_decodes(pipeline, tmp_path, capsys):
                     "--input", str(queries), "--n-best", "2",
                     "--output", str(out)]) == 0
     captured = capsys.readouterr()
-    assert "predict: 2 inputs, n_best 2, 1 without candidates" in captured.out
+    assert "predict: 2 inputs, n_best 2, beam width 6, 1 without candidates" in captured.out
     assert "warning: 1 inputs decoded to no candidates" in captured.err
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines and all(line.split("\t")[1] == "pato" for line in lines)

@@ -3,6 +3,7 @@ candidate file format."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -217,6 +218,14 @@ def test_unseen_context_backs_off_and_sums_to_one():
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
+def test_decode_caches_trained_contexts_only():
+    model = train(shallow_lexicon(150, seed=22), order=3)
+    for probe in ("pato", "shilo", "chama", "kemi"):
+        beam_decode(model, "<eo>", parse_ipa(probe), n_best=5)
+    assert model._prob_cache
+    assert all(ctx in model.counts for ctx, _ in model._prob_cache)
+
+
 def test_tags_condition_the_output():
     rows = []
     for word in ("vata", "vilo", "navi", "kavu", "veni", "sivo"):
@@ -336,7 +345,6 @@ def test_retraining_is_byte_identical(tmp_path):
 
 
 def test_save_load_preserves_decoding(tmp_path):
-    # a line separator inside a grapheme must survive the line-based format
     lex = Lexicon(list(shallow_lexicon(120, seed=29))
                   + [PronEntry("eo", "pa\u2028to", parse_ipa("pato"))])
     model = train(lex, order=3)
@@ -346,6 +354,9 @@ def test_save_load_preserves_decoding(tmp_path):
     assert loaded.order == model.order
     assert loaded.tags == model.tags
     assert loaded.counts == model.counts
+    assert loaded.discount.hex() == model.discount.hex()
+    assert {c: p.hex() for c, p in loaded.aligner.probs.items()} == \
+        {c: p.hex() for c, p in model.aligner.probs.items()}
     for probe in ("pato", "shilo", "chama"):
         ipa = parse_ipa(probe)
         a = beam_decode(model, "<eo>", ipa, n_best=3)
@@ -358,6 +369,29 @@ def test_load_rejects_other_files(tmp_path):
     path = tmp_path / "bogus.model"
     path.write_text("not a model\n", encoding="utf-8")
     with pytest.raises(ValueError):
+        JointModel.load(path)
+
+
+@pytest.mark.parametrize("case", ["v1-lines", "other-format", "other-version", "truncated",
+                                  "no-ngrams"])
+def test_load_rejects_malformed_documents(tmp_path, case):
+    path = tmp_path / "m.model"
+    train(shallow_lexicon(40, seed=30), order=2).save(path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if case == "v1-lines":
+        text = "polyipa-joint-model\t1\norder\t2\ndiscount\t0x1.8000000000000p-1\ntags\t0\n"
+    elif case == "truncated":
+        text = path.read_text(encoding="utf-8")[:-50]
+    else:
+        if case == "other-format":
+            doc["format"] = "another-model"
+        elif case == "other-version":
+            doc["version"] = 1
+        else:
+            del doc["ngrams"]
+        text = json.dumps(doc)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match="m.model: not a readable model file"):
         JointModel.load(path)
 
 
