@@ -79,11 +79,9 @@ from .mining import (
     write_pairs_tsv,
 )
 from .model import (
-    AlignedPair,
     Candidate,
     ChunkAligner,
     JointModel,
-    align,
     beam_decode,
     effective_beam_width,
     load_external_candidates,
@@ -146,9 +144,9 @@ __all__ = [
     "filter_generation_by_cer", "load_embeddings_tsv", "mine_soundalikes",
     "read_pairs_tsv", "write_embeddings_tsv", "write_pairs_tsv",
     # model
-    "AlignedPair", "Candidate", "ChunkAligner", "JointModel", "align",
-    "beam_decode", "effective_beam_width", "load_external_candidates",
-    "train", "train_tagged", "write_candidates_tsv",
+    "Candidate", "ChunkAligner", "JointModel", "beam_decode",
+    "effective_beam_width", "load_external_candidates", "train",
+    "train_tagged", "write_candidates_tsv",
     # metrics
     "EvalItem", "EvalReport", "MetricsRow", "cer", "char_bleu",
     "exact_match", "levenshtein", "report_from_json", "stratify", "top_n_wer",

@@ -15,13 +15,12 @@ import traceback
 from pathlib import Path
 
 from . import __version__
-from .config import PipelineConfig, Resources, load as load_config
+from .config import KEYS, PipelineConfig, Resources, load as load_config
 from .errors import PolyipaError
 from .ipa import _read_lines, _tsv_rows, convert_to_ipa, parse_ipa, strip_diacritics_tones
 from .lexicon import Lexicon, clean, extract_ipa_pairs, lang_script_tag, read_raw_tsv
 from .metrics import EvalItem, report_from_json, stratify
 from .mining import (
-    MiningParams,
     build_embedding_matrix,
     mine_soundalikes,
     read_pairs_tsv,
@@ -38,7 +37,6 @@ from .model import (
     write_candidates_tsv,
 )
 from .splits import (
-    SplitSpec,
     read_examples_tsv,
     stratified_split,
     upsample_generate,
@@ -139,31 +137,19 @@ def cmd_pairs(args, cfg: PipelineConfig, res: Resources) -> int:
 
 def cmd_mine(args, cfg: PipelineConfig, res: Resources) -> int:
     lex = Lexicon.read_tsv(args.input, res.inventory)
-    params = MiningParams(
-        k=args.k if args.k is not None else cfg.mining.k,
-        threshold=args.threshold if args.threshold is not None else cfg.mining.threshold,
-        exclude_existing=args.exclude_existing or cfg.mining.exclude_existing,
-    )
     entries = list(lex)
     if args.embeddings:
         write_embeddings_tsv(args.embeddings, build_embedding_matrix(entries, res.features))
-    pairs = mine_soundalikes(entries, params, table=res.features, known=lex)
+    pairs = mine_soundalikes(entries, cfg.mining, table=res.features, known=lex)
     write_pairs_tsv(args.output, pairs)
-    print(f"mine: {len(pairs)} pairs at threshold {params.threshold} from "
+    print(f"mine: {len(pairs)} pairs at threshold {cfg.mining.threshold} from "
           f"{len(entries)} entries")
     return 0
 
 
 def cmd_split(args, cfg: PipelineConfig, res: Resources) -> int:
     lex = Lexicon.read_tsv(args.input, res.inventory)
-    spec = SplitSpec(
-        test_size=args.test if args.test is not None else cfg.split.test_size,
-        eval_size=args.eval if args.eval is not None else cfg.split.eval_size,
-        seed=args.seed if args.seed is not None else cfg.split.seed,
-        max_tokens=cfg.split.max_tokens,
-        per_lang_cap=args.per_lang_cap if args.per_lang_cap is not None else cfg.split.per_lang_cap,
-    )
-    train_lex, eval_lex, test_lex = stratified_split(lex, spec)
+    train_lex, eval_lex, test_lex = stratified_split(lex, cfg.split)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_lex.write_tsv(out_dir / "train.tsv")
@@ -178,15 +164,8 @@ def cmd_augment(args, cfg: PipelineConfig, res: Resources) -> int:
     variants = {}
     if args.pairs:
         variants = variant_map_from_pairs(read_pairs_tsv(args.pairs, res.inventory))
-    spec = SplitSpec(
-        test_size=cfg.split.test_size,
-        eval_size=cfg.split.eval_size,
-        seed=cfg.split.seed,
-        max_tokens=args.max_tokens if args.max_tokens is not None else cfg.split.max_tokens,
-        per_lang_cap=cfg.split.per_lang_cap,
-    )
     counters: dict[str, int] = {}
-    stream = upsample_generate(train_lex, variants, spec, ratio=args.ratio,
+    stream = upsample_generate(train_lex, variants, cfg.split, ratio=args.ratio,
                                scripts=res.scripts, inventory=res.inventory,
                                counters=counters)
     write_examples_tsv(args.out, stream)
@@ -195,20 +174,20 @@ def cmd_augment(args, cfg: PipelineConfig, res: Resources) -> int:
 
 
 def cmd_train(args, cfg: PipelineConfig, res: Resources) -> int:
-    order = args.order if args.order is not None else cfg.model_order
-    iterations = args.em_iterations if args.em_iterations is not None else cfg.em_iterations
     source = _input(args.input)
     if _first_data_columns(source) == 4:
         examples = read_examples_tsv(source, res.inventory)
         rows = [(ex.tag, ex.ipa, ex.target) for ex in examples]
-        model = train_tagged(rows, order=order, em_iterations=iterations)
+        model = train_tagged(rows, order=cfg.model_order,
+                             em_iterations=cfg.em_iterations)
     else:
         lex = Lexicon.read_tsv(source, res.inventory)
-        model = train(lex, order=order, em_iterations=iterations, scripts=res.scripts)
+        model = train(lex, order=cfg.model_order, em_iterations=cfg.em_iterations,
+                      scripts=res.scripts)
     model.save(args.output)
     stats = model.training_stats
     log_likelihood = stats.get("log_likelihood")
-    print(f"train: order {order}, {stats.get('trained_on', 0)} examples, "
+    print(f"train: order {cfg.model_order}, {stats.get('trained_on', 0)} examples, "
           f"{stats.get('alignment_failures', 0)} alignment failures, "
           f"{len(model.vocab)} vocabulary tokens; EM: "
           f"{stats.get('ratio_skipped', 0)} ratio-skipped, "
@@ -219,8 +198,6 @@ def cmd_train(args, cfg: PipelineConfig, res: Resources) -> int:
 
 def cmd_predict(args, cfg: PipelineConfig, res: Resources) -> int:
     model = JointModel.load(args.model)
-    n_best = args.n_best if args.n_best is not None else cfg.n_best
-    beam_width = args.beam_width if args.beam_width is not None else cfg.beam_width
     source = _input(args.input)
     if _first_data_columns(source) == 2:
         rows = _tsv_rows(source, 2, "tag<TAB>ipa")
@@ -233,14 +210,15 @@ def cmd_predict(args, cfg: PipelineConfig, res: Resources) -> int:
     empty = 0
     for tag, ipa_text in queries:
         ipa = parse_ipa(ipa_text, res.inventory)
-        cands = beam_decode(model, tag, ipa, n_best, beam_width)
+        cands = beam_decode(model, tag, ipa, cfg.n_best, cfg.beam_width)
         empty += not cands
         blocks.append((tag, ipa_text, cands))
     write_candidates_tsv(args.output, blocks)
     if empty:
         print(f"warning: {empty} inputs decoded to no candidates", file=sys.stderr)
-    print(f"predict: {len(queries)} inputs, n_best {n_best}, "
-          f"beam width {effective_beam_width(n_best, beam_width)}, {empty} without candidates")
+    print(f"predict: {len(queries)} inputs, n_best {cfg.n_best}, "
+          f"beam width {effective_beam_width(cfg.n_best, cfg.beam_width)}, "
+          f"{empty} without candidates")
     return 0
 
 
@@ -319,9 +297,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("mine", help="mine sound-alike entry pairs")
     p.add_argument("--input", required=True, help="cleaned lexicon TSV")
-    p.add_argument("--k", type=int, help="nearest neighbours per entry")
-    p.add_argument("--threshold", type=float, help="max feature edit distance")
-    p.add_argument("--exclude-existing", action="store_true",
+    p.add_argument("--k", dest="mining_k", help="nearest neighbours per entry")
+    p.add_argument("--threshold", dest="mining_threshold", help="max feature edit distance")
+    p.add_argument("--exclude-existing", action="store_true", default=None,
                    help="drop pairs the lexicon already lists as variants")
     p.add_argument("--embeddings", help="also write the embedding matrix TSV here")
     p.add_argument("--output", required=True, help="mined pairs TSV")
@@ -329,10 +307,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("split", help="stratified train/eval/test split")
     p.add_argument("--input", required=True, help="cleaned lexicon TSV")
-    p.add_argument("--test", type=int, help="test set size")
-    p.add_argument("--eval", type=int, help="evaluation set size")
-    p.add_argument("--seed", type=int, help="shuffle seed")
-    p.add_argument("--per-lang-cap", type=int, help="cap entries per language")
+    p.add_argument("--test", dest="test_size", help="test set size")
+    p.add_argument("--eval", dest="eval_size", help="evaluation set size")
+    p.add_argument("--seed", help="shuffle seed")
+    p.add_argument("--per-lang-cap", help="cap entries per language")
     p.add_argument("--out-dir", required=True, help="directory for train/eval/test.tsv")
     p.set_defaults(func=cmd_split)
 
@@ -341,15 +319,15 @@ def build_parser() -> _Parser:
     p.add_argument("--pairs", help="mined pairs TSV for similar variants")
     p.add_argument("--ratio", type=float, default=1.0,
                    help="min originals-to-augmented ratio (default 1.0)")
-    p.add_argument("--max-tokens", type=int, help="token budget per example")
+    p.add_argument("--max-tokens", help="token budget per example")
     p.add_argument("--out", required=True, help="augmented examples TSV")
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("train", help="train the phoneme-to-grapheme model")
     p.add_argument("--input", required=True,
                    help="lexicon TSV or augmented examples TSV")
-    p.add_argument("--order", type=int, help="n-gram order")
-    p.add_argument("--em-iterations", type=int, help="aligner EM iterations")
+    p.add_argument("--order", dest="model_order", help="n-gram order")
+    p.add_argument("--em-iterations", help="aligner EM iterations")
     p.add_argument("--output", required=True, help="model file")
     p.set_defaults(func=cmd_train)
 
@@ -357,9 +335,8 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True, help="trained model file")
     p.add_argument("--input", required=True,
                    help="lexicon TSV or tag<TAB>ipa lines")
-    p.add_argument("--n-best", type=int, help="candidates per input")
-    p.add_argument("--beam-width", type=int,
-                   help="beam width (default 3 times n-best)")
+    p.add_argument("--n-best", help="candidates per input")
+    p.add_argument("--beam-width", help="beam width (default 3 times n-best)")
     p.add_argument("--output", required=True, help="candidates TSV")
     p.set_defaults(func=cmd_predict)
 
@@ -382,8 +359,11 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # flags that set a config key have it as dest; unset ones are None
+    flags = {key: value for key, value in vars(args).items()
+             if key in KEYS and value is not None}
     try:
-        cfg = load_config(args.config, validate=False)
+        cfg = load_config(args.config, validate=False, flags=flags)
         res = cfg.resources()
         return args.func(args, cfg, res)
     except (PolyipaError, OSError, ValueError, UnicodeDecodeError) as exc:

@@ -1,16 +1,23 @@
-"""Pipeline configuration: a small `key = value` file plus environment
-overrides, validated eagerly so a bad path fails at startup, not mid-run.
+"""Pipeline configuration: defaults, a small `key = value` file, POLYIPA_*
+environment variables and command-line flags, validated eagerly so a bad
+path fails at startup, not mid-run.
 
-File paths are resolved relative to the config file's directory; values set
-through POLYIPA_* environment variables resolve relative to the working
-directory. Any key the loader does not know is an error.
+Each key is declared once, as a field of PipelineConfig or of the
+MiningParams or SplitSpec it holds; the field's annotation and default are
+the key's type and default. Values from every source go through the same
+conversion and checks, and a later source wins: flag over environment over
+file over default. File paths are resolved relative to the config file's
+directory; values set through POLYIPA_* variables or flags resolve relative
+to the working directory. Any key the loader does not know is an error.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .errors import ConfigError
 from .features import FeatureTable, default_feature_table
@@ -31,18 +38,9 @@ from .lexicon import (
 from .mining import MiningParams
 from .splits import SplitSpec
 
-__all__ = ["PipelineConfig", "Resources", "load", "ENV_PREFIX"]
+__all__ = ["PipelineConfig", "Resources", "load", "ENV_PREFIX", "KEYS"]
 
 ENV_PREFIX = "POLYIPA_"
-
-_PATH_KEYS = ("inventory", "features", "xsampa_chart", "arpabet_chart",
-              "iso639", "lang_scripts")
-_INT_KEYS = ("mining_k", "test_size", "eval_size", "seed", "max_tokens",
-             "model_order", "em_iterations", "n_best")
-_OPT_INT_KEYS = ("per_lang_cap", "beam_width")
-_FLOAT_KEYS = ("mining_threshold",)
-_BOOL_KEYS = ("exclude_existing",)
-_ALL_KEYS = frozenset(_PATH_KEYS + _INT_KEYS + _OPT_INT_KEYS + _FLOAT_KEYS + _BOOL_KEYS)
 
 
 @dataclass(frozen=True)
@@ -74,6 +72,13 @@ class PipelineConfig:
     n_best: int = 1
     beam_width: int | None = None
 
+    def __post_init__(self):
+        for key in ("model_order", "em_iterations", "n_best"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        if self.beam_width is not None and self.beam_width < 1:
+            raise ConfigError("beam_width must be >= 1 when given")
+
     def resources(self) -> Resources:
         """Load every referenced table, falling back to packaged data."""
         try:
@@ -88,6 +93,29 @@ class PipelineConfig:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load configured data file: {exc}") from exc
         return Resources(inv, feats, xs, ar, reg, scr)
+
+
+# PipelineConfig fields that hold a parameter object, whose fields are keys
+# too; _RENAMED names the keys that differ from their field's name.
+_SECTIONS = {"mining": MiningParams, "split": SplitSpec}
+_RENAMED = {("mining", "k"): "mining_k", ("mining", "threshold"): "mining_threshold"}
+
+
+def _declare() -> dict[str, tuple[str | None, str, object]]:
+    """Config key -> (section or None for PipelineConfig, field, annotation)."""
+    keys: dict[str, tuple[str | None, str, object]] = {}
+    for f, hint in get_type_hints(PipelineConfig).items():
+        cls = _SECTIONS.get(f)
+        if cls is None:
+            keys[f] = (None, f, hint)
+            continue
+        for name, sub_hint in get_type_hints(cls).items():
+            keys[_RENAMED.get((f, name), name)] = (f, name, sub_hint)
+    return keys
+
+
+_FIELDS = _declare()
+KEYS = frozenset(_FIELDS)
 
 
 def _parse_file(path: Path) -> dict[str, str]:
@@ -115,13 +143,6 @@ def _env_values() -> dict[str, str]:
     return values
 
 
-def _to_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
-
-
 def _to_bool(key: str, raw: str) -> bool:
     lowered = raw.lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -131,90 +152,55 @@ def _to_bool(key: str, raw: str) -> bool:
     raise ConfigError(f"{key} must be a boolean, got {raw!r}")
 
 
-def load(path: str | Path | None = None, validate: bool = True) -> PipelineConfig:
-    """Build a PipelineConfig from an optional file and POLYIPA_* overrides.
+def _convert(key: str, hint, raw, base: Path | None):
+    """One key's value, typed by its field's annotation hint, from its raw
+    text; a file's relative paths resolve against base, and an optional
+    number reads "none" or "" as None."""
+    kind, *optional = get_args(hint) or (hint,)
+    text = str(raw)
+    if kind is Path:
+        path = Path(text)
+        return base / path if base is not None and not path.is_absolute() else path
+    if optional and text.lower() in ("", "none"):
+        return None
+    if kind is bool:
+        return _to_bool(key, text)
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {text!r}") from None
+
+
+def load(path: str | Path | None = None, validate: bool = True,
+         flags: Mapping[str, object] | None = None) -> PipelineConfig:
+    """Build a PipelineConfig from an optional file, POLYIPA_* overrides and
+    the given command-line flag values, keyed by config key.
 
     With validate (the default) every referenced data file is parsed
     immediately, so misconfiguration surfaces here.
     """
-    merged: dict[str, tuple[str, Path | None]] = {}
+    merged: dict[str, tuple[object, Path | None]] = {}
     if path is not None:
         base = Path(path).resolve().parent
         for key, raw in _parse_file(Path(path)).items():
             merged[key] = (raw, base)
-    for key, raw in _env_values().items():
+    for key, raw in [*_env_values().items(), *(flags or {}).items()]:
         merged[key] = (raw, None)
 
-    unknown = sorted(set(merged) - _ALL_KEYS)
+    unknown = sorted(set(merged) - KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
-    paths: dict[str, Path | None] = {k: None for k in _PATH_KEYS}
-    ints: dict[str, int] = {}
-    opt_ints: dict[str, int | None] = {k: None for k in _OPT_INT_KEYS}
-    floats: dict[str, float] = {}
-    bools: dict[str, bool] = {}
+    values: dict[str | None, dict[str, object]] = {None: {}, **{s: {} for s in _SECTIONS}}
     for key, (raw, base) in merged.items():
-        if key in _PATH_KEYS:
-            p = Path(raw)
-            if base is not None and not p.is_absolute():
-                p = base / p
-            paths[key] = p
-        elif key in _INT_KEYS:
-            ints[key] = _to_int(key, raw)
-        elif key in _OPT_INT_KEYS:
-            opt_ints[key] = None if raw.lower() in ("", "none") else _to_int(key, raw)
-        elif key in _FLOAT_KEYS:
-            try:
-                floats[key] = float(raw)
-            except ValueError:
-                raise ConfigError(f"{key} must be a number, got {raw!r}") from None
-        elif key in _BOOL_KEYS:
-            bools[key] = _to_bool(key, raw)
-
+        section, name, hint = _FIELDS[key]
+        values[section][name] = _convert(key, hint, raw, base)
     try:
-        mining = MiningParams(
-            k=ints.get("mining_k", 10000),
-            threshold=floats.get("mining_threshold", 5.0),
-            exclude_existing=bools.get("exclude_existing", False),
-        )
-        split = SplitSpec(
-            test_size=ints.get("test_size", 5000),
-            eval_size=ints.get("eval_size", 5000),
-            seed=ints.get("seed", 0),
-            max_tokens=ints.get("max_tokens", 40),
-            per_lang_cap=opt_ints.get("per_lang_cap"),
-        )
+        sections = {s: cls(**values[s]) for s, cls in _SECTIONS.items()}
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    model_order = ints.get("model_order", 6)
-    em_iterations = ints.get("em_iterations", 6)
-    n_best = ints.get("n_best", 1)
-    if model_order < 1:
-        raise ConfigError("model_order must be >= 1")
-    if em_iterations < 1:
-        raise ConfigError("em_iterations must be >= 1")
-    if n_best < 1:
-        raise ConfigError("n_best must be >= 1")
-    beam_width = opt_ints.get("beam_width")
-    if beam_width is not None and beam_width < 1:
-        raise ConfigError("beam_width must be >= 1 when given")
-
-    config = PipelineConfig(
-        inventory=paths["inventory"],
-        features=paths["features"],
-        xsampa_chart=paths["xsampa_chart"],
-        arpabet_chart=paths["arpabet_chart"],
-        iso639=paths["iso639"],
-        lang_scripts=paths["lang_scripts"],
-        mining=mining,
-        split=split,
-        model_order=model_order,
-        em_iterations=em_iterations,
-        n_best=n_best,
-        beam_width=beam_width,
-    )
+    config = PipelineConfig(**values[None], **sections)
     if validate:
         config.resources()
     return config

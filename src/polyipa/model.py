@@ -29,15 +29,13 @@ from .errors import (
     UnknownTagWarning,
 )
 from .ipa import IpaString, _tsv_rows
-from .lexicon import Lexicon, PronEntry, ScriptTable, lang_script_tag
+from .lexicon import Lexicon, ScriptTable, lang_script_tag
 
 __all__ = [
     "Chunk",
-    "AlignedPair",
     "Candidate",
     "ChunkAligner",
     "JointModel",
-    "align",
     "train",
     "train_tagged",
     "beam_decode",
@@ -67,21 +65,6 @@ def _tag_token(tag: str) -> Token:
 
 def _chunk_token(chunk: Chunk) -> Token:
     return ("chunk", chunk[0], chunk[1])
-
-
-@dataclass(frozen=True)
-class AlignedPair:
-    """A pronunciation/spelling pair expressed as a chunk sequence."""
-
-    chunks: tuple[Chunk, ...]
-
-    @property
-    def phonemes(self) -> tuple[str, ...]:
-        return tuple(s for c in self.chunks for s in c[0])
-
-    @property
-    def grapheme(self) -> str:
-        return "".join(c[1] for c in self.chunks)
 
 
 @dataclass(frozen=True)
@@ -394,6 +377,8 @@ class ChunkAligner:
         """Run EM over (segments, grapheme) pairs; returns skip counters and,
         per iteration, the log-likelihood of the table it made: the sum of
         log z over the rows that table aligns."""
+        if iterations < 1:
+            raise ValueError("iterations must be >= 1")
         usable = [(tuple(segs), graph) for segs, graph in pairs
                   if _ratio_ok(len(segs), len(graph))]
         log_likelihood: list[float] = []
@@ -402,7 +387,7 @@ class ChunkAligner:
         lattices = _Lattices(usable)
         weights = np.ones(lattices.n_chunks)
         kept = np.zeros(0, dtype=np.intp)
-        for k in range(max(1, iterations)):
+        for k in range(iterations):
             counts, order, unalignable, previous = lattices.expected_counts(weights)
             if k:  # the log-likelihood of the table the last iteration made
                 log_likelihood.append(previous)
@@ -476,10 +461,11 @@ class ChunkAligner:
         return tuple(chunks)
 
 
-def align(entry: PronEntry, aligner: ChunkAligner) -> AlignedPair:
-    """Maximum-likelihood chunking of one cleaned entry."""
-    segs = tuple(seg.text for seg in entry.ipa.segments)
-    return AlignedPair(aligner.viterbi(segs, entry.grapheme))
+def _check_order_discount(order: int, discount: float) -> None:
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if not 0.0 < discount < 1.0:
+        raise ValueError("discount must be in (0, 1)")
 
 
 class JointModel:
@@ -499,10 +485,7 @@ class JointModel:
         tags: frozenset[str],
         training_stats: dict[str, int | list[float]] | None = None,
     ):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if not 0.0 < discount < 1.0:
-            raise ValueError("discount must be in (0, 1)")
+        _check_order_discount(order, discount)
         self.order = order
         self.discount = discount
         self.aligner = aligner
@@ -622,7 +605,6 @@ def train(
     em_iterations: int = 6,
     discount: float = 0.75,
     scripts: ScriptTable | None = None,
-    aligner: ChunkAligner | None = None,
 ) -> JointModel:
     """Fit the chunk aligner and count tagged joint n-grams."""
     if len(lex) == 0:
@@ -631,7 +613,7 @@ def train(
         (lang_script_tag(e, scripts), tuple(seg.text for seg in e.ipa.segments), e.grapheme)
         for e in lex
     ]
-    return _train_tagged(tagged, order, em_iterations, discount, aligner)
+    return _train_tagged(tagged, order, em_iterations, discount)
 
 
 def train_tagged(
@@ -639,7 +621,6 @@ def train_tagged(
     order: int = 6,
     em_iterations: int = 6,
     discount: float = 0.75,
-    aligner: ChunkAligner | None = None,
 ) -> JointModel:
     """Train from pre-tagged (tag, ipa, target) rows, e.g. an augmented
     training stream."""
@@ -647,7 +628,7 @@ def train_tagged(
         raise EmptyLexiconError("cannot train on an empty example stream")
     tagged = [(tag, tuple(seg.text for seg in ipa.segments), target)
               for tag, ipa, target in rows]
-    return _train_tagged(tagged, order, em_iterations, discount, aligner)
+    return _train_tagged(tagged, order, em_iterations, discount)
 
 
 def _train_tagged(
@@ -655,13 +636,12 @@ def _train_tagged(
     order: int,
     em_iterations: int,
     discount: float,
-    aligner: ChunkAligner | None,
 ) -> JointModel:
-    stats: dict[str, int | list[float]] = {}
-    if aligner is None:
-        aligner = ChunkAligner()
-        stats = aligner.fit([(segs, graph) for _, segs, graph in tagged],
-                            iterations=em_iterations)
+    # bad settings fail here, not after EM; fit itself rejects em_iterations < 1
+    _check_order_discount(order, discount)
+    aligner = ChunkAligner()
+    stats = aligner.fit([(segs, graph) for _, segs, graph in tagged],
+                        iterations=em_iterations)
 
     counts: dict[tuple, dict[Token, int]] = {}
     tags: set[str] = set()
@@ -699,7 +679,6 @@ def beam_decode(
     ipa: IpaString,
     n_best: int,
     beam_width: int | None = None,
-    max_len: int | None = None,
 ) -> list[Candidate]:
     """Breadth-limited n-best search over trained chunks.
 
@@ -707,7 +686,7 @@ def beam_decode(
     are consumed; the search stops early when n_best surfaces are finalized
     and the best active hypothesis can no longer beat the worst kept one
     (scores only decrease as log probabilities accumulate). Output length is
-    bounded by max_len (default 3 x segments + 5).
+    bounded by 3 x segments + 5 characters.
     """
     if n_best < 1:
         raise ValueError("n_best must be >= 1")
@@ -717,7 +696,7 @@ def beam_decode(
     if width < 1:
         raise ValueError("beam_width must be >= 1")
     segs = tuple(seg.text for seg in ipa.segments)
-    max_out = max_len if max_len is not None else 3 * len(segs) + 5
+    max_out = 3 * len(segs) + 5
     ctx_len = model.order - 1
     context: tuple = (BOS,) * ctx_len
     if tag in model.tags:

@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _reference_decode import exhaustive_best
 from _reference_dp import encode, two_row_distance
 from _synth import (
     AMBIG_SPELLINGS,
@@ -53,7 +54,6 @@ from polyipa import (
     train,
 )
 from polyipa.metrics import Candidate, EvalItem
-from polyipa.model import BOS, EOS, _tag_token
 
 # pinned bounds
 DISTANCE_TIME_LIMIT = 60.0
@@ -312,41 +312,6 @@ def test_criterion_07_stratified_split():
 
 # criterion 8: beam search finds the global argmax
 
-def _exhaustive_argmax(model, tag, ipa):
-    """Enumerate every decodable hypothesis; returns the best surface, its
-    score, and how many partial hypotheses exist."""
-    segs = tuple(seg.text for seg in ipa.segments)
-    index = model.chunk_index()
-    ctx_len = model.order - 1
-    start: tuple = (BOS,) * ctx_len
-    if ctx_len and tag in model.tags:
-        start = (start + (_tag_token(tag),))[-ctx_len:]
-    max_out = 3 * len(segs) + 5
-    best: dict[str, float] = {}
-    visited = 0
-
-    def walk(pos, ctx, out, lp):
-        nonlocal visited
-        visited += 1
-        if pos == len(segs):
-            flp = lp + model.log_prob(EOS, ctx)
-            if flp > best.get(out, -math.inf):
-                best[out] = flp
-        for plen in (0, 1, 2):
-            if pos + plen > len(segs):
-                break
-            for tok in index.get(segs[pos:pos + plen], ()):
-                out2 = out + tok[2]
-                if len(out2) > max_out:
-                    continue
-                ctx2 = (ctx + (tok,))[-ctx_len:] if ctx_len else ()
-                walk(pos + plen, ctx2, out2, lp + model.log_prob(tok, ctx))
-
-    walk(0, start, "", 0.0)
-    surface, score = max(best.items(), key=lambda kv: (kv[1], kv[0]))
-    return surface, score, visited
-
-
 def test_criterion_08_beam_matches_exhaustive_argmax():
     with criterion(8, "beam equals exhaustive argmax"):
         assert effective_beam_width(30) == 90
@@ -359,7 +324,7 @@ def test_criterion_08_beam_matches_exhaustive_argmax():
         for probe in probes:
             ipa = parse_ipa(probe)
             assert len(ipa.segments) <= 4
-            surface, score, visited = _exhaustive_argmax(model, "<eo>", ipa)
+            surface, score, visited = exhaustive_best(model, "<eo>", ipa)
             top = beam_decode(model, "<eo>", ipa, n_best=1,
                               beam_width=visited)
             assert top[0].grapheme == surface, probe

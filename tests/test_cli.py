@@ -6,12 +6,13 @@ import io
 import json
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
 from _synth import shallow_lexicon
 from polyipa import cli
-from polyipa.config import ENV_PREFIX
+from polyipa.config import ENV_PREFIX, KEYS, PipelineConfig, load as load_config
 
 
 @pytest.fixture(autouse=True)
@@ -315,3 +316,86 @@ def test_help_lists_every_flag():
         for action in sub._actions:
             for opt in action.option_strings:
                 assert opt in sub_help, f"{name} help is missing {opt}"
+
+
+# settings: one resolver for flags, POLYIPA_* variables and the config file
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["--order", "0"], "MODEL_ORDER", "model_order must be >= 1"),
+    (["--em-iterations", "0"], "EM_ITERATIONS", "em_iterations must be >= 1"),
+    (["--order", "six"], "MODEL_ORDER", "model_order must be an integer, got 'six'"),
+])
+def test_train_flags_and_env_share_checks(pipeline, tmp_path, monkeypatch, capsys,
+                                          argv, env, message):
+    command = ["train", "--input", str(pipeline["splits"] / "train.tsv"),
+               "--output", str(tmp_path / "m")]
+    assert run_cli(command + argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    monkeypatch.setenv(ENV_PREFIX + env, argv[1])
+    assert run_cli(command) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "m").exists()
+
+
+def test_n_best_precedence_flag_env_file(tmp_path, monkeypatch):
+    # three equally likely spellings of ʃ give "ʃa" three candidates
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("".join(f"eo\t{ipa.replace('ʃ', c)}\t{ipa}\n"
+                           for ipa in ("ʃa", "aʃ", "ʃaʃ", "paʃ", "ʃap") for c in "qxc"),
+                   encoding="utf-8")
+    model = tmp_path / "m"
+    assert run_cli(["train", "--input", str(lex), "--order", "2", "--output", str(model)]) == 0
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("<eo>\tʃa\n", encoding="utf-8")
+    conf = tmp_path / "pipeline.conf"
+    conf.write_text("n_best = 3\n", encoding="utf-8")
+    out = tmp_path / "c.tsv"
+
+    def written(*flags):
+        assert run_cli(["--config", str(conf), "predict", "--model", str(model),
+                        "--input", str(queries), *flags, "--output", str(out)]) == 0
+        return len(out.read_text(encoding="utf-8").splitlines())
+
+    assert written() == 3
+    monkeypatch.setenv("POLYIPA_N_BEST", "2")
+    assert written() == 2
+    assert written("--n-best", "1") == 1
+
+
+def test_mine_exclude_existing_with_key_unset(tmp_path):
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("de\tkat\tkat\nde\tkat\tkad\n", encoding="utf-8")
+    conf = tmp_path / "pipeline.conf"
+    conf.write_text("mining_k = 1\nmining_threshold = 5.0\n", encoding="utf-8")
+    out = tmp_path / "mined.tsv"
+
+    def mined(*flags):
+        assert run_cli(["--config", str(conf), "mine", "--input", str(lex), *flags,
+                        "--output", str(out)]) == 0
+        return [l for l in out.read_text(encoding="utf-8").splitlines()
+                if not l.startswith("#")]
+
+    assert len(mined()) == 1
+    assert mined("--exclude-existing") == []
+
+
+def test_readme_lists_every_config_key():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = [[cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+            for line in readme.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| `")]
+    assert {row[0] for row in rows} == KEYS
+    assert all(env == ENV_PREFIX + key.upper() for key, env, *_ in rows)
+    assert len(rows) == len(KEYS)
+
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, type(parser._subparsers._group_actions[0])))
+    flags = {f"{name} {opt}": action.dest for name, sub in subparsers.choices.items()
+             for action in sub._actions if action.dest in KEYS
+             for opt in action.option_strings}
+    assert {row[2]: row[0] for row in rows if row[2]} == flags
+
+    # the default column, read back through the loader, is the default config
+    defaults = {key: default for key, _, _, default, _ in rows if default != "packaged"}
+    assert load_config(None, validate=False, flags=defaults) == PipelineConfig()

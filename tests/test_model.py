@@ -3,23 +3,24 @@ candidate file format."""
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
+import pkgutil
 import random
 
 import pytest
 
 import _reference_em
 import polyipa.model
+from _reference_decode import exhaustive_best
 from _synth import shallow_lexicon
 from polyipa import (
-    AlignedPair,
     Candidate,
     ChunkAligner,
     JointModel,
     Lexicon,
     PronEntry,
-    align,
     beam_decode,
     effective_beam_width,
     load_external_candidates,
@@ -36,7 +37,7 @@ from polyipa.errors import (
     NonMonotoneScoresError,
     UnknownTagWarning,
 )
-from polyipa.model import BOS, EOS, _tag_token
+from polyipa.model import _tag_token
 
 
 def _identity_lexicon(words, lang="eo"):
@@ -72,10 +73,11 @@ def test_em_learns_digraph_chunk():
     assert stats["ratio_skipped"] == 0
     assert stats["unalignable"] == 0
     entry = next(e for e in lex if "t͡ʃ" in e.ipa.text)
-    aligned = align(entry, aligner)
-    assert ((("t͡ʃ",), "ch")) in aligned.chunks
-    assert aligned.phonemes == tuple(s.text for s in entry.ipa.segments)
-    assert aligned.grapheme == entry.grapheme
+    segs = tuple(s.text for s in entry.ipa.segments)
+    chunks = aligner.viterbi(segs, entry.grapheme)
+    assert ((("t͡ʃ",), "ch")) in chunks
+    assert tuple(s for phones, _ in chunks for s in phones) == segs
+    assert "".join(letters for _, letters in chunks) == entry.grapheme
 
 
 def test_alignment_rejects_extreme_ratios():
@@ -189,8 +191,8 @@ def test_fit_does_not_underflow_on_a_long_row():
     assert all(math.isfinite(v) for v in stats["log_likelihood"])
     assert all(math.isfinite(p) and p > 0.0 for p in aligner.probs.values())
     chunks = aligner.viterbi(segs, graph)
-    assert AlignedPair(chunks).phonemes == segs
-    assert AlignedPair(chunks).grapheme == graph
+    assert tuple(s for phones, _ in chunks for s in phones) == segs
+    assert "".join(letters for _, letters in chunks) == graph
 
 
 # training and probabilities
@@ -200,6 +202,35 @@ def test_train_rejects_empty_input():
         train(Lexicon([]))
     with pytest.raises(EmptyLexiconError):
         train_tagged([])
+
+
+def test_train_rejects_bad_settings_before_em(monkeypatch):
+    lex = shallow_lexicon(20, seed=3)
+    rows = [(f"<{e.lang}>", e.ipa, e.grapheme) for e in lex]
+
+    def no_em(*args, **kwargs):
+        raise AssertionError("EM ran before the settings were checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ChunkAligner, "fit", no_em)
+        for bad in ({"order": 0}, {"discount": 0.0}, {"discount": 1.0}):
+            with pytest.raises(ValueError):
+                train(lex, **bad)
+            with pytest.raises(ValueError):
+                train_tagged(rows, **bad)
+    with pytest.raises(ValueError, match="iterations must be >= 1"):
+        train(lex, em_iterations=0)
+    with pytest.raises(ValueError, match="iterations must be >= 1"):
+        train_tagged(rows, em_iterations=0)
+
+
+def test_every_exported_name_resolves():
+    modules = [polyipa] + [importlib.import_module(f"polyipa.{info.name}")
+                           for info in pkgutil.iter_modules(polyipa.__path__)]
+    assert len(modules) == 11
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names missing {missing}"
 
 
 def test_conditionals_sum_to_one():
@@ -292,43 +323,12 @@ def test_decode_rejects_empty_input():
         beam_decode(model, "<eo>", parse_ipa("pa"), n_best=0)
 
 
-def _exhaustive_best(model, tag, ipa):
-    """Depth-first search over every chunk sequence the model can emit."""
-    segs = tuple(seg.text for seg in ipa.segments)
-    index = model.chunk_index()
-    ctx_len = model.order - 1
-    start: tuple = (BOS,) * ctx_len
-    if ctx_len and tag in model.tags:
-        start = (start + (_tag_token(tag),))[-ctx_len:]
-    max_out = 3 * len(segs) + 5
-    best: dict[str, float] = {}
-
-    def walk(pos, ctx, out, lp):
-        if pos == len(segs):
-            flp = lp + model.log_prob(EOS, ctx)
-            if flp > best.get(out, -math.inf):
-                best[out] = flp
-        for plen in (0, 1, 2):
-            if pos + plen > len(segs):
-                break
-            for tok in index.get(segs[pos:pos + plen], ()):
-                out2 = out + tok[2]
-                if len(out2) > max_out:
-                    continue
-                ctx2 = (ctx + (tok,))[-ctx_len:] if ctx_len else ()
-                walk(pos + plen, ctx2, out2, lp + model.log_prob(tok, ctx))
-
-    walk(0, start, "", 0.0)
-    surface, score = max(best.items(), key=lambda kv: (kv[1], kv[0]))
-    return surface, score
-
-
 def test_wide_beam_matches_exhaustive_search():
     lex = _identity_lexicon(["pa", "ta", "pat", "tap", "apa", "ata"])
     model = train(lex, order=2)
     for probe in ("pa", "ta", "pat", "apa"):
         ipa = parse_ipa(probe)
-        surface, score = _exhaustive_best(model, "<eo>", ipa)
+        surface, score, _ = exhaustive_best(model, "<eo>", ipa)
         top = beam_decode(model, "<eo>", ipa, n_best=1, beam_width=5000)[0]
         assert top.grapheme == surface
         assert top.log_score == pytest.approx(score, abs=1e-12)
