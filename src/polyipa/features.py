@@ -22,7 +22,6 @@ from .ipa import TIE_BARS, IpaSegment, IpaString, _tsv_rows
 
 __all__ = [
     "FeatureTable",
-    "SegmentFeatures",
     "DistanceParams",
     "default_feature_table",
     "segment_features",
@@ -43,16 +42,6 @@ _MODIFICATIONS: dict[str, tuple[str, int]] = {
 }
 
 _VALUES = {"+": 1, "0": 0, "-": -1, "−": -1}
-
-
-@dataclass(frozen=True)
-class SegmentFeatures:
-    """Lookup result: the vector, whether the match was exact, and any marks
-    whose effect is not modeled (left unapplied)."""
-
-    vector: np.ndarray
-    exact: bool
-    unapplied: tuple[str, ...]
 
 
 class FeatureTable:
@@ -95,29 +84,23 @@ class FeatureTable:
     def dims(self) -> int:
         return len(self.names)
 
-    def symbols(self) -> tuple[str, ...]:
-        return tuple(self._rows)
-
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self._rows
-
     def row(self, symbol: str) -> np.ndarray:
         try:
             return self._rows[symbol]
         except KeyError:
             raise UnknownSegmentError(symbol) from None
 
-    def lookup(self, segment: IpaSegment) -> SegmentFeatures:
+    def lookup(self, segment: IpaSegment) -> np.ndarray:
         """Resolve a segment to a vector.
 
         Exact symbol match first (covers tie-bar affricates with their own
         rows); otherwise the base row with the modeled diacritic effects
-        applied and the rest reported as unapplied. A base absent from the
-        table falls back to its first component symbol.
+        applied and other marks ignored. A base absent from the table falls
+        back to its first component symbol.
         """
         text = segment.text
         if text in self._rows:
-            return SegmentFeatures(self._rows[text], True, ())
+            return self._rows[text]
 
         marks = list(segment.diacritics) + list(segment.tones)
         base = segment.base
@@ -135,15 +118,12 @@ class FeatureTable:
             marks = [ch for ch in segment.base if unicodedata.combining(ch) and ch not in TIE_BARS] + marks
 
         vec = self._rows[base].copy()
-        unapplied: list[str] = []
         for mark in marks:
             rule = _MODIFICATIONS.get(mark)
-            if rule is None:
-                unapplied.append(mark)
-            else:
+            if rule is not None:
                 vec[self._index[rule[0]]] = rule[1]
         vec.setflags(write=False)
-        return SegmentFeatures(vec, False, tuple(unapplied))
+        return vec
 
 
 @functools.lru_cache(maxsize=None)
@@ -154,7 +134,7 @@ def default_feature_table() -> FeatureTable:
 def segment_features(segment: IpaSegment, table: FeatureTable | None = None) -> np.ndarray:
     """The segment's feature vector (diacritic effects applied)."""
     table = table or default_feature_table()
-    return table.lookup(segment).vector
+    return table.lookup(segment)
 
 
 @dataclass(frozen=True)
@@ -268,7 +248,7 @@ def _vocab_and_costs(
             key = seg.text
             if key not in vocab:
                 vocab[key] = len(vectors)
-                vectors.append(table.lookup(seg).vector)
+                vectors.append(table.lookup(seg))
             ids.append(vocab[key])
         encoded.append(ids)
     lengths = np.array([len(ids) for ids in encoded], dtype=np.intp)
@@ -322,5 +302,5 @@ def string_embedding(s: IpaString, table: FeatureTable | None = None) -> np.ndar
     table = table or default_feature_table()
     if not s.segments:
         raise EmptyStringError("cannot embed an empty transcription")
-    rows = np.stack([table.lookup(seg).vector for seg in s.segments]).astype(np.float64)
+    rows = np.stack([table.lookup(seg) for seg in s.segments]).astype(np.float64)
     return rows.mean(axis=0)

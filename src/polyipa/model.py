@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,7 +53,8 @@ EOS: Token = ("</s>",)
 
 _MAX_RATIO = 4
 _FORMAT = "polyipa-joint-model"
-_VERSION = 2
+_VERSION = 3
+_FIELDS = frozenset({"format", "version", "order", "discount", "tokens", "ngrams"})
 # training rows per compiled block of EM lattices
 _BLOCK_ROWS = 1024
 _SHAPES = tuple((p, g) for p in range(3) for g in range(3) if (p, g) != (0, 0))
@@ -462,8 +463,8 @@ class ChunkAligner:
 
 
 def _check_order_discount(order: int, discount: float) -> None:
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+        raise ValueError("order must be an integer >= 1")
     if not 0.0 < discount < 1.0:
         raise ValueError("discount must be in (0, 1)")
 
@@ -473,28 +474,24 @@ class JointModel:
 
     Absolute discounting with a fixed discount recurses to a uniform
     distribution over the observed vocabulary, so every conditional
-    distribution sums to one.
+    distribution sums to one. Every trained token is counted under the empty
+    context, so that bucket holds the vocabulary and the trained tags.
     """
 
     def __init__(
         self,
         order: int,
         discount: float,
-        aligner: ChunkAligner,
         counts: dict[tuple, dict[Token, int]],
-        tags: frozenset[str],
         training_stats: dict[str, int | list[float]] | None = None,
     ):
         _check_order_discount(order, discount)
         self.order = order
         self.discount = discount
-        self.aligner = aligner
         self.counts = counts
-        self.tags = frozenset(tags)
         self.training_stats = dict(training_stats or {})
-        self.vocab: frozenset[Token] = frozenset(
-            tok for bucket in counts.values() for tok in bucket
-        )
+        self.vocab: frozenset[Token] = frozenset(counts.get((), ()))
+        self.tags = frozenset(tok[1] for tok in self.vocab if tok[0] == "tag")
         self._ctx_stats: dict[tuple, tuple[int, int]] = {
             ctx: (sum(bucket.values()), len(bucket)) for ctx, bucket in counts.items()
         }
@@ -561,8 +558,6 @@ class JointModel:
             "version": _VERSION,
             "order": self.order,
             "discount": self.discount,
-            "tags": sorted(self.tags),
-            "chunks": sorted((segs, graph, p) for (segs, graph), p in self.aligner.probs.items()),
             "tokens": tokens,
             "ngrams": ngrams,
         }
@@ -577,20 +572,31 @@ class JointModel:
             text = fh.read()
         try:
             doc = json.loads(text)
-            if not isinstance(doc, dict) or (doc.get("format"), doc.get("version")) != (
-                    _FORMAT, _VERSION):
+            if not isinstance(doc, dict) or set(doc) != _FIELDS or (
+                    doc["format"], doc["version"]) != (_FORMAT, _VERSION):
                 raise ValueError(f"not a {_FORMAT} document of version {_VERSION}")
             tokens = [_token_from_list(raw) for raw in doc["tokens"]]
             by_ids: dict[tuple, dict[Token, int]] = {}
-            for *ctx, tok, cnt in doc["ngrams"]:
-                by_ids.setdefault(tuple(ctx), {})[tokens[tok]] = cnt
+            for row in doc["ngrams"]:
+                *ctx, tok, cnt = row
+                ctx = tuple(ctx)
+                bucket = by_ids.get(ctx)
+                if bucket is None:
+                    if len(ctx) >= doc["order"] or not all(map(_is_id, ctx)):
+                        raise ValueError(f"n-gram context too long or not token ids: {row}")
+                    bucket = by_ids[ctx] = {}
+                if not (_is_id(tok) and _is_id(cnt) and cnt and tokens[tok] not in bucket):
+                    raise ValueError(f"bad token id, count or repeated n-gram: {row}")
+                bucket[tokens[tok]] = cnt
             counts = {tuple(tokens[i] for i in ctx): bucket for ctx, bucket in by_ids.items()}
-            probs = {(tuple(segs), graph): p for segs, graph, p in doc["chunks"]}
-            return cls(doc["order"], doc["discount"], ChunkAligner(probs), counts,
-                       frozenset(doc["tags"]))
+            return cls(doc["order"], doc["discount"], counts)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a readable model file "
                              f"({type(exc).__name__}: {exc})") from None
+
+
+def _is_id(value) -> bool:
+    return type(value) is int and value >= 0  # json reads true as a bool
 
 
 def _token_from_list(raw: list) -> Token:
@@ -606,14 +612,11 @@ def train(
     discount: float = 0.75,
     scripts: ScriptTable | None = None,
 ) -> JointModel:
-    """Fit the chunk aligner and count tagged joint n-grams."""
+    """Train on a lexicon, each entry tagged with its language and script."""
     if len(lex) == 0:
         raise EmptyLexiconError("cannot train on an empty lexicon")
-    tagged = [
-        (lang_script_tag(e, scripts), tuple(seg.text for seg in e.ipa.segments), e.grapheme)
-        for e in lex
-    ]
-    return _train_tagged(tagged, order, em_iterations, discount)
+    rows = [(lang_script_tag(e, scripts), e.ipa, e.grapheme) for e in lex]
+    return train_tagged(rows, order, em_iterations, discount)
 
 
 def train_tagged(
@@ -623,36 +626,32 @@ def train_tagged(
     discount: float = 0.75,
 ) -> JointModel:
     """Train from pre-tagged (tag, ipa, target) rows, e.g. an augmented
-    training stream."""
+    training stream: fit the chunk aligner by EM, then count tagged joint
+    n-grams over each row's Viterbi chunking."""
     if not rows:
         raise EmptyLexiconError("cannot train on an empty example stream")
-    tagged = [(tag, tuple(seg.text for seg in ipa.segments), target)
-              for tag, ipa, target in rows]
-    return _train_tagged(tagged, order, em_iterations, discount)
-
-
-def _train_tagged(
-    tagged: list[tuple[str, tuple[str, ...], str]],
-    order: int,
-    em_iterations: int,
-    discount: float,
-) -> JointModel:
     # bad settings fail here, not after EM; fit itself rejects em_iterations < 1
     _check_order_discount(order, discount)
+    tagged = [(tag, tuple(seg.text for seg in ipa.segments), target)
+              for tag, ipa, target in rows]
     aligner = ChunkAligner()
     stats = aligner.fit([(segs, graph) for _, segs, graph in tagged],
                         iterations=em_iterations)
 
+    # one Viterbi chunking per distinct row, None where it has none
+    chunkings = dict.fromkeys((segs, graph) for _, segs, graph in tagged)
+    for segs, graph in chunkings:
+        try:
+            chunkings[segs, graph] = aligner.viterbi(segs, graph)
+        except AlignmentFailureError:
+            pass
     counts: dict[tuple, dict[Token, int]] = {}
-    tags: set[str] = set()
     failures = 0
     for tag, segs, graph in tagged:
-        try:
-            chunks = aligner.viterbi(segs, graph)
-        except AlignmentFailureError:
+        chunks = chunkings[segs, graph]
+        if chunks is None:
             failures += 1
             continue
-        tags.add(tag)
         tokens = [_tag_token(tag)] + [_chunk_token(c) for c in chunks] + [EOS]
         stream = [BOS] * (order - 1) + tokens
         for t in range(order - 1, len(stream)):
@@ -665,7 +664,7 @@ def _train_tagged(
         raise EmptyLexiconError("no entry could be aligned")
     stats["alignment_failures"] = failures
     stats["trained_on"] = len(tagged) - failures
-    return JointModel(order, discount, aligner, counts, frozenset(tags), stats)
+    return JointModel(order, discount, counts, stats)
 
 
 def effective_beam_width(n_best: int, beam_width: int | None = None) -> int:

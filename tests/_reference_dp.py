@@ -21,7 +21,7 @@ def encode(strings, table, sub_scale):
         for seg in s.segments:
             if seg.text not in vocab:
                 vocab[seg.text] = len(vectors)
-                vectors.append(table.lookup(seg).vector)
+                vectors.append(table.lookup(seg))
             ids.append(vocab[seg.text])
         encoded.append(ids)
     if not vectors:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -399,3 +400,15 @@ def test_readme_lists_every_config_key():
     # the default column, read back through the loader, is the default config
     defaults = {key: default for key, _, _, default, _ in rows if default != "packaged"}
     assert load_config(None, validate=False, flags=defaults) == PipelineConfig()
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(readme), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines
+    for line in lines:
+        grapheme, score = line.split(" ")
+        assert grapheme and float(score) <= 0.0

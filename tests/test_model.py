@@ -315,6 +315,16 @@ def test_unknown_tag_warns_but_decodes():
     assert cands
 
 
+def test_tag_without_an_aligned_row_is_not_trained():
+    rows = [("<aa>", parse_ipa(word), word) for word in ("pata", "tapa", "kapa", "paka")]
+    rows.append(("<bb>", parse_ipa("a"), "aaaaaa"))  # 1:6, skipped for its length ratio
+    model = train_tagged(rows, order=3)
+    assert model.training_stats["ratio_skipped"] == 1
+    assert model.tags == {"<aa>"}
+    with pytest.warns(UnknownTagWarning):
+        beam_decode(model, "<bb>", parse_ipa("pa"), n_best=1)
+
+
 def test_decode_rejects_empty_input():
     model = train(shallow_lexicon(50, seed=27), order=2)
     with pytest.raises(EmptyInputError):
@@ -355,8 +365,9 @@ def test_save_load_preserves_decoding(tmp_path):
     assert loaded.tags == model.tags
     assert loaded.counts == model.counts
     assert loaded.discount.hex() == model.discount.hex()
-    assert {c: p.hex() for c, p in loaded.aligner.probs.items()} == \
-        {c: p.hex() for c, p in model.aligner.probs.items()}
+    assert loaded.vocab == model.vocab
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert set(doc) == {"format", "version", "order", "discount", "tokens", "ngrams"}
     for probe in ("pato", "shilo", "chama"):
         ipa = parse_ipa(probe)
         a = beam_decode(model, "<eo>", ipa, n_best=3)
@@ -372,23 +383,40 @@ def test_load_rejects_other_files(tmp_path):
         JointModel.load(path)
 
 
-@pytest.mark.parametrize("case", ["v1-lines", "other-format", "other-version", "truncated",
-                                  "no-ngrams"])
+@pytest.mark.parametrize("case", ["v1-lines", "v2-document", "other-format", "other-version",
+                                  "truncated", "no-ngrams", "negative-id", "negative-count",
+                                  "fractional-count", "long-context", "repeated-ngram",
+                                  "bool-order"])
 def test_load_rejects_malformed_documents(tmp_path, case):
     path = tmp_path / "m.model"
     train(shallow_lexicon(40, seed=30), order=2).save(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
+    ngrams = doc["ngrams"]
     if case == "v1-lines":
         text = "polyipa-joint-model\t1\norder\t2\ndiscount\t0x1.8000000000000p-1\ntags\t0\n"
     elif case == "truncated":
         text = path.read_text(encoding="utf-8")[:-50]
     else:
-        if case == "other-format":
+        if case == "v2-document":
+            doc.update(version=2, tags=["<eo>"], chunks=[[["p"], "p", 1.0]])
+        elif case == "other-format":
             doc["format"] = "another-model"
         elif case == "other-version":
             doc["version"] = 1
-        else:
+        elif case == "no-ngrams":
             del doc["ngrams"]
+        elif case == "negative-id":
+            ngrams.append([-1, 800])  # Python would read -1 as the last token
+        elif case == "negative-count":
+            ngrams[0][-1] = -3
+        elif case == "fractional-count":
+            ngrams[0][-1] = 0.5
+        elif case == "long-context":
+            ngrams.append([0] * 9 + [1, 1])  # an order-2 model has 1-token contexts
+        elif case == "repeated-ngram":
+            ngrams.append(list(ngrams[-1]))
+        else:
+            doc["order"] = True
         text = json.dumps(doc)
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match="m.model: not a readable model file"):
