@@ -41,7 +41,7 @@ train_lex, eval_lex, test_lex = stratified_split(
 print(f"{len(train_lex)} train words, {len(test_lex)} held out")
 
 model = train(train_lex, order=5, em_iterations=6)
-print(f"model order {model.order}, {len(model.chunk_index())} learned chunks")
+print(f"model order {model.order}, {sum(map(len, model.chunk_index.values()))} learned chunks")
 
 # decode held-out words the model never saw spelled
 correct = 0

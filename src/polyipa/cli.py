@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .config import KEYS, PipelineConfig, Resources, load as load_config
 from .errors import PolyipaError
-from .ipa import _read_lines, _tsv_rows, convert_to_ipa, parse_ipa, strip_diacritics_tones
+from .ipa import _parse_rows, _read_lines, _tsv_rows, convert_to_ipa, parse_ipa, strip_diacritics_tones
 from .lexicon import Lexicon, clean, extract_ipa_pairs, lang_script_tag, read_raw_tsv
 from .metrics import EvalItem, report_from_json, stratify
 from .mining import (
@@ -200,16 +200,16 @@ def cmd_predict(args, cfg: PipelineConfig, res: Resources) -> int:
     model = JointModel.load(args.model)
     source = _input(args.input)
     if _first_data_columns(source) == 2:
-        rows = _tsv_rows(source, 2, "tag<TAB>ipa")
-        keys = ((tag, ipa_text) for _, (tag, ipa_text) in rows)
+        # parsed as read, so that a bad transcription names its line
+        queries = dict(_parse_rows(source, lambda tag, ipa_text: (
+            (tag, ipa_text), parse_ipa(ipa_text, res.inventory)), 2, "tag<TAB>ipa"))
     else:
         lex = Lexicon.read_tsv(source, res.inventory)
-        keys = ((lang_script_tag(e, res.scripts), e.ipa.text) for e in lex)
-    queries = list(dict.fromkeys(keys))
+        keys = dict.fromkeys((lang_script_tag(e, res.scripts), e.ipa.text) for e in lex)
+        queries = {key: parse_ipa(key[1], res.inventory) for key in keys}
     blocks = []
     empty = 0
-    for tag, ipa_text in queries:
-        ipa = parse_ipa(ipa_text, res.inventory)
+    for (tag, ipa_text), ipa in queries.items():
         cands = beam_decode(model, tag, ipa, cfg.n_best, cfg.beam_width)
         empty += not cands
         blocks.append((tag, ipa_text, cands))

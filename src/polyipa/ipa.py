@@ -16,9 +16,9 @@ import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .errors import EmptyStringError, UnknownSymbolError, UnmappableTokenError
+from .errors import EmptyStringError, PolyipaError, UnknownSymbolError, UnmappableTokenError
 
 __all__ = [
     "TIE_BARS",
@@ -178,6 +178,17 @@ def _tsv_rows(path, columns: int | None = None,
         if columns is not None and len(fields) != columns:
             raise ValueError(f"{path}: line {line_no}: expected {expected}")
         yield line_no, fields
+
+
+def _parse_rows(path, parse: Callable, columns: int, expected: str) -> Iterator:
+    """parse(*fields) per row; its errors keep their type, prefixed with file and line."""
+    for line_no, fields in _tsv_rows(path, columns, expected):
+        try:
+            row = parse(*fields)
+        except (PolyipaError, ValueError) as exc:
+            exc.args = (f"{path}: line {line_no}: {exc}",)
+            raise
+        yield row
 
 
 @functools.lru_cache(maxsize=None)
@@ -349,12 +360,11 @@ class NotationChart:
 
     @classmethod
     def from_file(cls, path) -> "NotationChart":
-        mapping: dict[str, str] = {}
-        for line_no, (source, ipa) in _tsv_rows(path, 2, "source<TAB>ipa"):
+        def row(source: str, ipa: str) -> tuple[str, str]:
             if not source:
-                raise ValueError(f"{path}: line {line_no}: empty source")
-            mapping[source] = unicodedata.normalize("NFC", ipa)
-        return cls(mapping)
+                raise ValueError("empty source")
+            return source, unicodedata.normalize("NFC", ipa)
+        return cls(dict(_parse_rows(path, row, 2, "source<TAB>ipa")))
 
     def convert_stream(self, text: str) -> str:
         """Greedy longest-match conversion of a character stream."""

@@ -20,6 +20,7 @@ from .errors import NoScriptError, UnknownLanguageError
 from .ipa import (
     IpaInventory,
     IpaString,
+    _parse_rows,
     _tsv_rows,
     default_inventory,
     normalize_text,
@@ -76,12 +77,11 @@ class LanguageRegistry:
 
     @classmethod
     def from_file(cls, path) -> "LanguageRegistry":
-        rows = []
-        for line_no, (alpha3, alpha2, name) in _tsv_rows(path, 3, "alpha3<TAB>alpha2<TAB>name"):
+        def row(alpha3: str, alpha2: str, name: str) -> tuple[str, str, str]:
             if not alpha3:
-                raise ValueError(f"{path}: line {line_no}: empty alpha3 code")
-            rows.append((alpha3, alpha2, name))
-        return cls(rows)
+                raise ValueError("empty alpha3 code")
+            return alpha3, alpha2, name
+        return cls(list(_parse_rows(path, row, 3, "alpha3<TAB>alpha2<TAB>name")))
 
     def canonical(self, code_or_name: str) -> str:
         key = code_or_name.strip().lower()
@@ -99,12 +99,11 @@ class ScriptTable:
 
     @classmethod
     def from_file(cls, path) -> "ScriptTable":
-        rows: dict[str, tuple[str, ...]] = {}
-        for line_no, (lang, scripts) in _tsv_rows(path, 2, "lang<TAB>scripts"):
+        def row(lang: str, scripts: str) -> tuple[str, tuple[str, ...]]:
             if not scripts:
-                raise ValueError(f"{path}: line {line_no}: empty scripts")
-            rows[lang] = tuple(s.strip() for s in scripts.split(","))
-        return cls(rows)
+                raise ValueError("empty scripts")
+            return lang, tuple(s.strip() for s in scripts.split(","))
+        return cls(dict(_parse_rows(path, row, 2, "lang<TAB>scripts")))
 
     def get(self, lang: str) -> tuple[str, ...] | None:
         return self._rows.get(lang)
@@ -232,9 +231,9 @@ class Lexicon:
     def read_tsv(cls, path, inventory: IpaInventory | None = None) -> "Lexicon":
         """Read an already-clean 3-column TSV; transcriptions must segment."""
         inv = inventory or default_inventory()
-        rows = _tsv_rows(path, 3, "lang<TAB>grapheme<TAB>ipa")
-        return cls(PronEntry(lang, grapheme, segment_ipa(ipa_text, inv))
-                   for _, (lang, grapheme, ipa_text) in rows)
+        return cls(_parse_rows(path, lambda lang, grapheme, ipa_text:
+                               PronEntry(lang, grapheme, segment_ipa(ipa_text, inv)),
+                               3, "lang<TAB>grapheme<TAB>ipa"))
 
     def write_tsv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -23,7 +23,7 @@ from .features import (
     normalized_feature_distance,
     string_embedding,
 )
-from .ipa import IpaInventory, IpaString, _tsv_rows, parse_ipa, strip_diacritics_tones
+from .ipa import IpaInventory, IpaString, _parse_rows, _tsv_rows, parse_ipa, strip_diacritics_tones
 from .lexicon import Lexicon, PronEntry
 from .metrics import cer
 
@@ -64,6 +64,8 @@ class VectorIndex:
 
     def query(self, vector: np.ndarray, k: int) -> list[tuple[int, float]]:
         """k nearest rows to vector as (row index, distance), nearest first."""
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         vector = np.asarray(vector, dtype=np.float64)
         if vector.shape != (self.dims,):
             raise DimensionMismatchError(
@@ -167,6 +169,8 @@ def mine_soundalikes(
     are dropped.
     """
     params = params or MiningParams()
+    if params.exclude_existing and known is None:
+        raise ValueError("exclude_existing needs the known lexicon")
     distance = distance or DistanceParams()
     table = table or default_feature_table()
     entries = list(entries)
@@ -180,10 +184,9 @@ def mine_soundalikes(
     pairs: list[SoundalikePair] = []
     for i, j, d in zip(*(column.tolist() for column in kept)):
         a, b = entries[i], entries[j]
-        if known is not None and params.exclude_existing:
-            if known.has_pronunciation(a.lang, a.grapheme, b.ipa.text) or \
-               known.has_pronunciation(b.lang, b.grapheme, a.ipa.text):
-                continue
+        if params.exclude_existing and (known.has_pronunciation(a.lang, a.grapheme, b.ipa.text)
+                                        or known.has_pronunciation(b.lang, b.grapheme, a.ipa.text)):
+            continue
         pairs.append(SoundalikePair(a, b, d))
     return pairs
 
@@ -199,12 +202,12 @@ def write_pairs_tsv(path, pairs: Sequence[SoundalikePair]) -> None:
 
 
 def read_pairs_tsv(path, inventory: IpaInventory | None = None) -> list[SoundalikePair]:
-    rows = _tsv_rows(path, 7, "lang_a<TAB>grapheme_a<TAB>ipa_a<TAB>"
-                              "lang_b<TAB>grapheme_b<TAB>ipa_b<TAB>distance")
-    return [SoundalikePair(PronEntry(la, ga, parse_ipa(ia, inventory)),
-                           PronEntry(lb, gb, parse_ipa(ib, inventory)),
-                           float(d))
-            for _, (la, ga, ia, lb, gb, ib, d) in rows]
+    def parse(la: str, ga: str, ia: str, lb: str, gb: str, ib: str, d: str) -> SoundalikePair:
+        return SoundalikePair(PronEntry(la, ga, parse_ipa(ia, inventory)),
+                              PronEntry(lb, gb, parse_ipa(ib, inventory)), float(d))
+
+    return list(_parse_rows(path, parse, 7, "lang_a<TAB>grapheme_a<TAB>ipa_a<TAB>"
+                                            "lang_b<TAB>grapheme_b<TAB>ipa_b<TAB>distance"))
 
 
 def filter_generation_by_cer(original: str, generated: str,

@@ -472,7 +472,9 @@ def _check_order_discount(order: int, discount: float) -> None:
 class JointModel:
     """Interpolated n-gram model over joint chunk tokens.
 
-    Absolute discounting with a fixed discount recurses to a uniform
+    Tokens live in one sorted table, the one the model file stores, and the
+    n-gram counts, contexts and vocabulary refer to them by their index in
+    it. Absolute discounting with a fixed discount recurses to a uniform
     distribution over the observed vocabulary, so every conditional
     distribution sums to one. Every trained token is counted under the empty
     context, so that bucket holds the vocabulary and the trained tags.
@@ -482,28 +484,38 @@ class JointModel:
         self,
         order: int,
         discount: float,
-        counts: dict[tuple, dict[Token, int]],
+        tokens: list[Token],
+        counts: dict[tuple[int, ...], dict[int, int]],
         training_stats: dict[str, int | list[float]] | None = None,
     ):
         _check_order_discount(order, discount)
         self.order = order
         self.discount = discount
+        self.tokens = tokens
         self.counts = counts
         self.training_stats = dict(training_stats or {})
-        self.vocab: frozenset[Token] = frozenset(counts.get((), ()))
-        self.tags = frozenset(tok[1] for tok in self.vocab if tok[0] == "tag")
-        self._ctx_stats: dict[tuple, tuple[int, int]] = {
+        self.ids = {tok: i for i, tok in enumerate(self.tokens)}
+        if EOS not in self.ids or (order > 1 and BOS not in self.ids):
+            raise ValueError("token table lacks the sentence boundary tokens")
+        self.vocab: frozenset[int] = frozenset(counts.get((), ()))
+        self.tags = frozenset(self.tokens[i][1] for i in self.vocab if self.tokens[i][0] == "tag")
+        # chunk ids and letters by phoneme tuple, letters in table order
+        self.chunk_index: dict[tuple[str, ...], list[tuple[int, str]]] = {}
+        for i in sorted(self.vocab):
+            tok = self.tokens[i]
+            if tok[0] == "chunk":
+                self.chunk_index.setdefault(tok[1], []).append((i, tok[2]))
+        self._ctx_stats: dict[tuple[int, ...], tuple[int, int]] = {
             ctx: (sum(bucket.values()), len(bucket)) for ctx, bucket in counts.items()
         }
-        self._prob_cache: dict[tuple[tuple, Token], float] = {}
-        self._chunk_index: dict[tuple[str, ...], list[Token]] | None = None
+        self._prob_cache: dict[tuple[tuple[int, ...], int], float] = {}
 
-    def prob(self, token: Token, context: tuple) -> float:
-        """P(token | context); context longer than order-1 is truncated."""
+    def prob(self, token: int, context: Sequence[int]) -> float:
+        """P(token | context) of token ids; a context over order-1 is truncated."""
         context = tuple(context)[-(self.order - 1):] if self.order > 1 else ()
         return self._prob(token, context)
 
-    def _prob(self, token: Token, context: tuple) -> float:
+    def _prob(self, token: int, context: tuple[int, ...]) -> float:
         # an unseen history puts full weight on its longest trained suffix, so
         # the cache holds trained contexts only and stays bounded by the model
         while context and context not in self.counts:
@@ -524,42 +536,24 @@ class JointModel:
         self._prob_cache[key] = value
         return value
 
-    def log_prob(self, token: Token, context: tuple) -> float:
+    def log_prob(self, token: int, context: Sequence[int]) -> float:
         return math.log(self.prob(token, context))
-
-    def chunk_index(self) -> dict[tuple[str, ...], list[Token]]:
-        """Chunk tokens grouped by their phoneme tuple, decode-ready."""
-        if self._chunk_index is None:
-            index: dict[tuple[str, ...], list[Token]] = {}
-            for tok in self.vocab:
-                if tok[0] == "chunk":
-                    index.setdefault(tok[1], []).append(tok)
-            for toks in index.values():
-                toks.sort(key=lambda t: (t[2], t[1]))
-            self._chunk_index = index
-        return self._chunk_index
 
     # -- serialization ----------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the model as one JSON document. Every token is stored once in
-        a table and n-grams refer to it by index; json writes floats by their
-        shortest round-trip repr, so a load() round trip is bit-exact, and
-        sorting keeps retraining byte-identical."""
-        tokens = sorted(self.vocab.union(*self.counts))
-        ids = {tok: i for i, tok in enumerate(tokens)}
-        ngrams = []
-        for ctx, bucket in self.counts.items():
-            head = [ids[t] for t in ctx]
-            ngrams.extend(head + [ids[tok], cnt] for tok, cnt in bucket.items())
-        ngrams.sort()
+        """Write the model as one JSON document: the token table, then the
+        n-grams as sorted [context id..., token id, count] rows. json writes
+        floats by their shortest round-trip repr, so a load() round trip is
+        bit-exact, and sorting keeps retraining byte-identical."""
         doc = {
             "format": _FORMAT,
             "version": _VERSION,
             "order": self.order,
             "discount": self.discount,
-            "tokens": tokens,
-            "ngrams": ngrams,
+            "tokens": self.tokens,
+            "ngrams": sorted([*ctx, tok, cnt] for ctx, bucket in self.counts.items()
+                             for tok, cnt in bucket.items()),
         }
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, ensure_ascii=False))
@@ -575,34 +569,30 @@ class JointModel:
             if not isinstance(doc, dict) or set(doc) != _FIELDS or (
                     doc["format"], doc["version"]) != (_FORMAT, _VERSION):
                 raise ValueError(f"not a {_FORMAT} document of version {_VERSION}")
-            tokens = [_token_from_list(raw) for raw in doc["tokens"]]
-            by_ids: dict[tuple, dict[Token, int]] = {}
+            tokens = [tuple(tuple(f) if isinstance(f, list) else f for f in raw)
+                      for raw in doc["tokens"]]
+            if any(a >= b for a, b in zip(tokens, tokens[1:])):
+                raise ValueError("token table not sorted or not distinct")
+            counts: dict[tuple[int, ...], dict[int, int]] = {}
             for row in doc["ngrams"]:
                 *ctx, tok, cnt = row
                 ctx = tuple(ctx)
-                bucket = by_ids.get(ctx)
+                bucket = counts.get(ctx)
                 if bucket is None:
-                    if len(ctx) >= doc["order"] or not all(map(_is_id, ctx)):
+                    if len(ctx) >= doc["order"] or not all(_is_id(i, len(tokens)) for i in ctx):
                         raise ValueError(f"n-gram context too long or not token ids: {row}")
-                    bucket = by_ids[ctx] = {}
-                if not (_is_id(tok) and _is_id(cnt) and cnt and tokens[tok] not in bucket):
+                    bucket = counts[ctx] = {}
+                if not (_is_id(tok, len(tokens)) and _is_id(cnt) and cnt and tok not in bucket):
                     raise ValueError(f"bad token id, count or repeated n-gram: {row}")
-                bucket[tokens[tok]] = cnt
-            counts = {tuple(tokens[i] for i in ctx): bucket for ctx, bucket in by_ids.items()}
-            return cls(doc["order"], doc["discount"], counts)
+                bucket[tok] = cnt
+            return cls(doc["order"], doc["discount"], tokens, counts)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a readable model file "
                              f"({type(exc).__name__}: {exc})") from None
 
 
-def _is_id(value) -> bool:
-    return type(value) is int and value >= 0  # json reads true as a bool
-
-
-def _token_from_list(raw: list) -> Token:
-    if raw[0] == "chunk":
-        return ("chunk", tuple(raw[1]), raw[2])
-    return tuple(raw)
+def _is_id(value, size: float = math.inf) -> bool:
+    return type(value) is int and 0 <= value < size  # json reads true as a bool
 
 
 def train(
@@ -638,33 +628,30 @@ def train_tagged(
     stats = aligner.fit([(segs, graph) for _, segs, graph in tagged],
                         iterations=em_iterations)
 
-    # one Viterbi chunking per distinct row, None where it has none
+    # one Viterbi chunking per distinct row, as chunk tokens; None where it has none
     chunkings = dict.fromkeys((segs, graph) for _, segs, graph in tagged)
     for segs, graph in chunkings:
         try:
-            chunkings[segs, graph] = aligner.viterbi(segs, graph)
+            chunkings[segs, graph] = [_chunk_token(c) for c in aligner.viterbi(segs, graph)]
         except AlignmentFailureError:
             pass
-    counts: dict[tuple, dict[Token, int]] = {}
-    failures = 0
-    for tag, segs, graph in tagged:
-        chunks = chunkings[segs, graph]
-        if chunks is None:
-            failures += 1
-            continue
-        tokens = [_tag_token(tag)] + [_chunk_token(c) for c in chunks] + [EOS]
-        stream = [BOS] * (order - 1) + tokens
+    streams = [[BOS] * (order - 1) + [_tag_token(tag), *chunkings[segs, graph], EOS]
+               for tag, segs, graph in tagged if chunkings[segs, graph] is not None]
+    if not streams:
+        raise EmptyLexiconError("no entry could be aligned")
+    tokens = sorted(set().union(*streams))
+    ids = {tok: i for i, tok in enumerate(tokens)}
+    counts: dict[tuple[int, ...], dict[int, int]] = {}
+    for row in streams:
+        stream = [ids[tok] for tok in row]
         for t in range(order - 1, len(stream)):
             target = stream[t]
             for n in range(1, order + 1):
-                ctx = tuple(stream[t - n + 1:t])
-                counts.setdefault(ctx, {})
-                counts[ctx][target] = counts[ctx].get(target, 0) + 1
-    if not counts:
-        raise EmptyLexiconError("no entry could be aligned")
-    stats["alignment_failures"] = failures
-    stats["trained_on"] = len(tagged) - failures
-    return JointModel(order, discount, counts, stats)
+                bucket = counts.setdefault(tuple(stream[t - n + 1:t]), {})
+                bucket[target] = bucket.get(target, 0) + 1
+    stats["alignment_failures"] = len(tagged) - len(streams)
+    stats["trained_on"] = len(streams)
+    return JointModel(order, discount, tokens, counts, stats)
 
 
 def effective_beam_width(n_best: int, beam_width: int | None = None) -> int:
@@ -697,32 +684,33 @@ def beam_decode(
     segs = tuple(seg.text for seg in ipa.segments)
     max_out = 3 * len(segs) + 5
     ctx_len = model.order - 1
-    context: tuple = (BOS,) * ctx_len
+    context: tuple[int, ...] = (model.ids[BOS],) * ctx_len if ctx_len else ()
     if tag in model.tags:
         if ctx_len:
-            context = (context + (_tag_token(tag),))[-ctx_len:]
+            context = (context + (model.ids[_tag_token(tag)],))[-ctx_len:]
     else:
         warnings.warn(f"tag {tag!r} not seen in training; decoding untagged",
                       UnknownTagWarning, stacklevel=2)
 
-    index = model.chunk_index()
+    eos = model.ids[EOS]
+    index = model.chunk_index
     # hypothesis: (log_prob, consumed segments, context, surface)
-    active: list[tuple[float, int, tuple, str]] = [(0.0, 0, context, "")]
+    active: list[tuple[float, int, tuple[int, ...], str]] = [(0.0, 0, context, "")]
     finalized: dict[str, float] = {}
     max_rounds = len(segs) + max_out + 2
     for _ in range(max_rounds):
-        expanded: list[tuple[float, int, tuple, str]] = []
+        expanded: list[tuple[float, int, tuple[int, ...], str]] = []
         for lp, pos, ctx, out in active:
             if pos == len(segs):
-                flp = lp + model.log_prob(EOS, ctx)
+                flp = lp + model.log_prob(eos, ctx)
                 prev = finalized.get(out)
                 if prev is None or flp > prev:
                     finalized[out] = flp
             for plen in (0, 1, 2):
                 if pos + plen > len(segs):
                     break
-                for tok in index.get(segs[pos:pos + plen], ()):
-                    out2 = out + tok[2]
+                for tok, letters in index.get(segs[pos:pos + plen], ()):
+                    out2 = out + letters
                     if len(out2) > max_out:
                         continue
                     lp2 = lp + model.log_prob(tok, ctx)

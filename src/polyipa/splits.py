@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InsufficientDataError
-from .ipa import IpaInventory, IpaString, _tsv_rows, parse_ipa, strip_diacritics_tones
+from .ipa import IpaInventory, IpaString, _parse_rows, parse_ipa, strip_diacritics_tones
 from .lexicon import Lexicon, PronEntry, ScriptTable, lang_script_tag
 from .mining import SoundalikePair
 
@@ -235,10 +235,9 @@ def write_examples_tsv(path, examples: Iterable[TrainExample]) -> None:
 
 
 def read_examples_tsv(path, inventory: IpaInventory | None = None) -> list[TrainExample]:
-    out: list[TrainExample] = []
-    rows = _tsv_rows(path, 4, "tag<TAB>grapheme<TAB>ipa<TAB>provenance")
-    for line_no, (tag, target, ipa_text, provenance) in rows:
+    def parse(tag: str, target: str, ipa_text: str, provenance: str) -> TrainExample:
         if provenance not in PROVENANCES:
-            raise ValueError(f"{path}: line {line_no}: unknown provenance {provenance!r}")
-        out.append(TrainExample(tag, parse_ipa(ipa_text, inventory), target, provenance))
-    return out
+            raise ValueError(f"unknown provenance {provenance!r}")
+        return TrainExample(tag, parse_ipa(ipa_text, inventory), target, provenance)
+
+    return list(_parse_rows(path, parse, 4, "tag<TAB>grapheme<TAB>ipa<TAB>provenance"))

@@ -2,9 +2,10 @@
 chunk sequence the model can emit for one input, independent of the beam
 search in polyipa.model.
 
-It scores each hypothesis as beam_decode does (the tag in the starting
-context, the same output-length bound, EOS paid once all segments are
-consumed), so with a wide enough beam both must find the same best surface.
+It scores each hypothesis as beam_decode does (token ids of the model's
+table, the tag in the starting context, the same output-length bound, EOS
+paid once all segments are consumed), so with a wide enough beam both must
+find the same best surface.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ def exhaustive_best(model, tag, ipa):
     """Enumerate every decodable hypothesis; returns the best surface, its
     score, and how many partial hypotheses exist."""
     segs = tuple(seg.text for seg in ipa.segments)
-    index = model.chunk_index()
     ctx_len = model.order - 1
-    start: tuple = (BOS,) * ctx_len
+    start: tuple = (model.ids[BOS],) * ctx_len if ctx_len else ()
     if ctx_len and tag in model.tags:
-        start = (start + (_tag_token(tag),))[-ctx_len:]
+        start = (start + (model.ids[_tag_token(tag)],))[-ctx_len:]
+    eos = model.ids[EOS]
     max_out = 3 * len(segs) + 5
     best: dict[str, float] = {}
     visited = 0
@@ -31,14 +32,14 @@ def exhaustive_best(model, tag, ipa):
         nonlocal visited
         visited += 1
         if pos == len(segs):
-            flp = lp + model.log_prob(EOS, ctx)
+            flp = lp + model.log_prob(eos, ctx)
             if flp > best.get(out, -math.inf):
                 best[out] = flp
         for plen in (0, 1, 2):
             if pos + plen > len(segs):
                 break
-            for tok in index.get(segs[pos:pos + plen], ()):
-                out2 = out + tok[2]
+            for tok, letters in model.chunk_index.get(segs[pos:pos + plen], ()):
+                out2 = out + letters
                 if len(out2) > max_out:
                     continue
                 ctx2 = (ctx + (tok,))[-ctx_len:] if ctx_len else ()

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -155,6 +156,49 @@ def test_predict_names_malformed_query_line(pipeline, tmp_path, capsys):
                     "--input", str(queries),
                     "--output", str(tmp_path / "c.tsv")]) == 1
     assert "q.tsv: line 2: expected tag<TAB>ipa" in capsys.readouterr().err
+
+
+def test_predict_names_the_line_of_a_bad_transcription(pipeline, tmp_path, capsys):
+    queries = tmp_path / "q.tsv"
+    queries.write_text("<eo>\tpato\n<eo>\tp@to\n", encoding="utf-8")
+    assert run_cli(["predict", "--model", str(pipeline["model"]),
+                    "--input", str(queries),
+                    "--output", str(tmp_path / "c.tsv")]) == 1
+    assert "q.tsv: line 2: unknown symbol '@'" in capsys.readouterr().err
+
+
+def test_train_and_predict_do_not_depend_on_the_hash_seed(pipeline, tmp_path):
+    """Two processes with different string hashing write the same bytes."""
+    def rows(name):
+        text = (pipeline["splits"] / name).read_text(encoding="utf-8")
+        return [line.split("\t") for line in text.splitlines()]
+
+    test_rows = rows("test.tsv")
+    stream = tmp_path / "stream.tsv"  # two tags, so the table holds tokens of both
+    stream.write_text("".join(f"<{('de', 'eo')[i % 2]}>\t{grapheme}\t{ipa}\toriginal\n"
+                              for i, (_, grapheme, ipa) in enumerate(rows("train.tsv"))),
+                      encoding="utf-8")
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("".join(f"<{tag}>\t{ipa}\n" for _, _, ipa in test_rows
+                               for tag in ("de", "eo")), encoding="utf-8")
+    script = ("import sys\n"
+              "from polyipa.cli import main\n"
+              "model, stream, queries, cands = sys.argv[1:]\n"
+              "sys.exit(main(['train', '--input', stream, '--order', '3', '--output', model])\n"
+              "         or main(['predict', '--model', model, '--input', queries,\n"
+              "                  '--n-best', '3', '--output', cands]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        model, cands = tmp_path / f"model{seed}.json", tmp_path / f"cands{seed}.tsv"
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script, str(model), str(stream),
+                               str(queries), str(cands)], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outputs.append((model.read_bytes(), cands.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].count(b"\n") >= len(test_rows)
 
 
 def test_predict_reports_empty_decodes(pipeline, tmp_path, capsys):

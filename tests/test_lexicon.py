@@ -7,8 +7,10 @@ import pytest
 
 from polyipa import (
     CleaningReport,
+    LanguageRegistry,
     Lexicon,
     PronEntry,
+    ScriptTable,
     clean,
     default_registry,
     default_scripts,
@@ -18,7 +20,8 @@ from polyipa import (
     normalize_lang_code,
     parse_ipa,
 )
-from polyipa.errors import NoScriptError, UnknownLanguageError
+from polyipa.errors import NoScriptError, UnknownLanguageError, UnknownSymbolError
+from polyipa.ipa import NotationChart
 
 
 # language registry
@@ -181,6 +184,25 @@ def test_lexicon_read_tsv_rejects_short_rows(tmp_path):
     path.write_text("de\tkat\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"bad\.tsv: line 1: "):
         Lexicon.read_tsv(path)
+
+
+def test_table_loaders_name_the_line_of_an_empty_key(tmp_path):
+    path = tmp_path / "table.tsv"
+    for loader, text, message in [
+            (ScriptTable.from_file, "de\tLatn\nru\t\n", "empty scripts"),
+            (LanguageRegistry.from_file, "deu\tde\tGerman\n\tfr\tFrench\n", "empty alpha3 code"),
+            (NotationChart.from_file, "a\ta\n\tb\n", "empty source")]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"table\.tsv: line 2: {message}$"):
+            loader(path)
+
+
+def test_lexicon_read_tsv_names_the_line_of_a_bad_transcription(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text("# header\nde\tkat\tkat\nde\tkat\tk@t\n", encoding="utf-8")
+    with pytest.raises(UnknownSymbolError, match=r"bad\.tsv: line 3: unknown symbol '@'") as err:
+        Lexicon.read_tsv(path)
+    assert err.value.position == 1
 
 
 # training tags

@@ -31,6 +31,7 @@ from polyipa.errors import (
     DimensionMismatchError,
     EmptyOriginalError,
     EmptyStringError,
+    UnknownSymbolError,
 )
 
 
@@ -58,6 +59,13 @@ def test_query_breaks_ties_by_row_order():
         for k in (1, 5, 30, 199, 200, 250):
             want = [(int(i), float(dists[i])) for i in order[:k]]
             assert index.query(matrix[row], k) == want
+
+
+def test_query_rejects_negative_k():
+    index = VectorIndex(np.arange(10.0).reshape(5, 2))
+    assert index.query(np.zeros(2), 0) == []
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        index.query(np.zeros(2), -1)
 
 
 def test_query_row_excludes_self():
@@ -175,6 +183,13 @@ def test_exclude_existing_keeps_novel_pairs():
     assert len(kept) == 1
 
 
+def test_exclude_existing_needs_a_known_lexicon():
+    a = PronEntry("de", "kat", parse_ipa("kat"))
+    b = PronEntry("de", "kat", parse_ipa("kad"))
+    with pytest.raises(ValueError, match="exclude_existing needs the known lexicon"):
+        mine_soundalikes([a, b], MiningParams(k=1, threshold=5.0, exclude_existing=True))
+
+
 # serialization
 
 def test_embeddings_tsv_roundtrip(tmp_path):
@@ -219,6 +234,17 @@ def test_pairs_tsv_rejects_short_rows(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text("de\tkat\tkat\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"pairs\.tsv: line 1: "):
+        read_pairs_tsv(path)
+
+
+def test_pairs_tsv_names_the_line_of_a_bad_field(tmp_path):
+    path = tmp_path / "pairs.tsv"
+    good = "de\tkat\tkat\tde\tkad\tkad\t1.0\n"
+    path.write_text(good + good.replace("1.0", "abc"), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"pairs\.tsv: line 2: could not convert .*'abc'"):
+        read_pairs_tsv(path)
+    path.write_text(good + good.replace("kad\t1", "k@d\t1"), encoding="utf-8")
+    with pytest.raises(UnknownSymbolError, match=r"pairs\.tsv: line 2: unknown symbol '@'"):
         read_pairs_tsv(path)
 
 

@@ -37,7 +37,6 @@ from polyipa.errors import (
     NonMonotoneScoresError,
     UnknownTagWarning,
 )
-from polyipa.model import _tag_token
 
 
 def _identity_lexicon(words, lang="eo"):
@@ -243,7 +242,7 @@ def test_conditionals_sum_to_one():
 
 def test_unseen_context_backs_off_and_sums_to_one():
     model = train(shallow_lexicon(150, seed=22), order=3)
-    unseen = (_tag_token("<zz>"), _tag_token("<zz>"))
+    unseen = (len(model.tokens), len(model.tokens) + 1)  # ids outside the table
     assert unseen not in model.counts
     total = sum(model.prob(tok, unseen) for tok in model.vocab)
     assert total == pytest.approx(1.0, abs=1e-9)
@@ -366,6 +365,7 @@ def test_save_load_preserves_decoding(tmp_path):
     assert loaded.counts == model.counts
     assert loaded.discount.hex() == model.discount.hex()
     assert loaded.vocab == model.vocab
+    assert loaded.tokens == model.tokens
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert set(doc) == {"format", "version", "order", "discount", "tokens", "ngrams"}
     for probe in ("pato", "shilo", "chama"):
@@ -374,6 +374,15 @@ def test_save_load_preserves_decoding(tmp_path):
         b = beam_decode(loaded, "<eo>", ipa, n_best=3)
         assert [(c.grapheme, c.log_score, c.beam_rank) for c in a] == \
             [(c.grapheme, c.log_score, c.beam_rank) for c in b]
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_token_table_holds_exactly_the_trained_tokens(order):
+    model = train(shallow_lexicon(60, seed=31), order=order)
+    used = model.vocab.union(*model.counts)
+    assert model.tokens == sorted(model.tokens[i] for i in used)
+    assert (("<s>",) in model.ids) == (order > 1)
+    assert all(model.ids[tok] == i for i, tok in enumerate(model.tokens))
 
 
 def test_load_rejects_other_files(tmp_path):
@@ -386,7 +395,8 @@ def test_load_rejects_other_files(tmp_path):
 @pytest.mark.parametrize("case", ["v1-lines", "v2-document", "other-format", "other-version",
                                   "truncated", "no-ngrams", "negative-id", "negative-count",
                                   "fractional-count", "long-context", "repeated-ngram",
-                                  "bool-order"])
+                                  "bool-order", "context-id-past-table", "token-id-past-table",
+                                  "unsorted-tokens", "no-eos"])
 def test_load_rejects_malformed_documents(tmp_path, case):
     path = tmp_path / "m.model"
     train(shallow_lexicon(40, seed=30), order=2).save(path)
@@ -415,6 +425,15 @@ def test_load_rejects_malformed_documents(tmp_path, case):
             ngrams.append([0] * 9 + [1, 1])  # an order-2 model has 1-token contexts
         elif case == "repeated-ngram":
             ngrams.append(list(ngrams[-1]))
+        elif case == "context-id-past-table":
+            ngrams.append([len(doc["tokens"]), 1, 1])
+        elif case == "token-id-past-table":
+            ngrams.append([len(doc["tokens"]), 1])
+        elif case == "unsorted-tokens":
+            doc["tokens"].reverse()
+        elif case == "no-eos":
+            assert doc["tokens"][0] == ["</s>"]
+            doc["tokens"][0] = ["</r>"]
         else:
             doc["order"] = True
         text = json.dumps(doc)

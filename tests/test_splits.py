@@ -21,7 +21,7 @@ from polyipa import (
     variant_map_from_pairs,
     write_examples_tsv,
 )
-from polyipa.errors import InsufficientDataError
+from polyipa.errors import InsufficientDataError, UnknownSymbolError
 
 
 def _entry(lang, grapheme, ipa=None):
@@ -295,4 +295,7 @@ def test_examples_tsv_validates(tmp_path):
         read_examples_tsv(path)
     path.write_text("<de>\tkat\tkat\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"examples\.tsv: line 1: "):
+        read_examples_tsv(path)
+    path.write_text("<de>\tkat\tkat\toriginal\n<de>\tkat\tk@t\toriginal\n", encoding="utf-8")
+    with pytest.raises(UnknownSymbolError, match=r"examples\.tsv: line 2: unknown symbol '@'"):
         read_examples_tsv(path)
