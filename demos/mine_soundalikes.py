@@ -35,9 +35,8 @@ for row, dist in index.query_row(query, k=3):
 # stage 2: exact distances on the shortlist, thresholded
 pairs = mine_soundalikes(entries, MiningParams(k=3, threshold=0.12))
 print(f"\nmined {len(pairs)} pairs at threshold 0.12:")
-for p in sorted(pairs, key=lambda p: p.distance):
-    print(f"  {p.entry_a.grapheme:6s} ~ {p.entry_b.grapheme:6s} "
-          f"d={p.distance:.4f}")
+for i, j, d in sorted(pairs, key=lambda p: p[2]):
+    print(f"  {entries[i].grapheme:6s} ~ {entries[j].grapheme:6s} d={d:.4f}")
 
 # embeddings are deterministic, so the index can be rebuilt bit for bit
 again = build_embedding_matrix(entries)

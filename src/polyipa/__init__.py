@@ -67,7 +67,6 @@ from .lexicon import (
 )
 from .mining import (
     MiningParams,
-    SoundalikePair,
     VectorIndex,
     build_embedding_matrix,
     filter_by_feature_distance,
@@ -108,7 +107,6 @@ from .splits import (
     read_examples_tsv,
     stratified_split,
     upsample_generate,
-    variant_map_from_pairs,
     write_examples_tsv,
 )
 from .config import PipelineConfig, Resources
@@ -139,7 +137,7 @@ __all__ = [
     "detect_script", "extract_ipa_pairs", "lang_script_tag",
     "normalize_lang_code", "read_raw_tsv",
     # mining
-    "MiningParams", "SoundalikePair", "VectorIndex",
+    "MiningParams", "VectorIndex",
     "build_embedding_matrix", "filter_by_feature_distance",
     "filter_generation_by_cer", "load_embeddings_tsv", "mine_soundalikes",
     "read_pairs_tsv", "write_embeddings_tsv", "write_pairs_tsv",
@@ -154,7 +152,6 @@ __all__ = [
     # splits
     "SplitSpec", "TrainExample", "read_examples_tsv", "stratified_split",
     "upsample_generate", "write_examples_tsv",
-    "variant_map_from_pairs",
     # config
     "PipelineConfig", "Resources",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -40,7 +41,6 @@ from .splits import (
     read_examples_tsv,
     stratified_split,
     upsample_generate,
-    variant_map_from_pairs,
     write_examples_tsv,
 )
 
@@ -140,8 +140,8 @@ def cmd_mine(args, cfg: PipelineConfig, res: Resources) -> int:
     entries = list(lex)
     if args.embeddings:
         write_embeddings_tsv(args.embeddings, build_embedding_matrix(entries, res.features))
-    pairs = mine_soundalikes(entries, cfg.mining, table=res.features, known=lex)
-    write_pairs_tsv(args.output, pairs)
+    pairs = mine_soundalikes(entries, cfg.mining, table=res.features)
+    write_pairs_tsv(args.output, entries, pairs)
     print(f"mine: {len(pairs)} pairs at threshold {cfg.mining.threshold} from "
           f"{len(entries)} entries")
     return 0
@@ -160,10 +160,10 @@ def cmd_split(args, cfg: PipelineConfig, res: Resources) -> int:
 
 
 def cmd_augment(args, cfg: PipelineConfig, res: Resources) -> int:
+    if not (math.isfinite(args.ratio) and args.ratio >= 0):
+        raise ValueError(f"--ratio must be a finite number >= 0, got {args.ratio}")
     train_lex = Lexicon.read_tsv(args.train, res.inventory)
-    variants = {}
-    if args.pairs:
-        variants = variant_map_from_pairs(read_pairs_tsv(args.pairs, res.inventory))
+    variants = read_pairs_tsv(args.pairs, res.inventory) if args.pairs else {}
     counters: dict[str, int] = {}
     stream = upsample_generate(train_lex, variants, cfg.split, ratio=args.ratio,
                                scripts=res.scripts, inventory=res.inventory,

@@ -180,7 +180,7 @@ def _tsv_rows(path, columns: int | None = None,
         yield line_no, fields
 
 
-def _parse_rows(path, parse: Callable, columns: int, expected: str) -> Iterator:
+def _parse_rows(path, parse: Callable, columns: int | None, expected: str) -> Iterator:
     """parse(*fields) per row; its errors keep their type, prefixed with file and line."""
     for line_no, fields in _tsv_rows(path, columns, expected):
         try:

@@ -210,12 +210,10 @@ class Lexicon:
     def __init__(self, entries: Iterable[PronEntry]):
         self.entries: list[PronEntry] = []
         self._keys: set[tuple[str, str, str, str]] = set()
-        self._pron_keys: set[tuple[str, str, str]] = set()
         for e in entries:
             if e.key in self._keys:
                 continue
             self._keys.add(e.key)
-            self._pron_keys.add((e.lang, e.grapheme, e.ipa.text))
             self.entries.append(e)
 
     def __len__(self) -> int:
@@ -223,9 +221,6 @@ class Lexicon:
 
     def __iter__(self) -> Iterator[PronEntry]:
         return iter(self.entries)
-
-    def has_pronunciation(self, lang: str, grapheme: str, ipa_text: str) -> bool:
-        return (lang, grapheme, ipa_text) in self._pron_keys
 
     @classmethod
     def read_tsv(cls, path, inventory: IpaInventory | None = None) -> "Lexicon":

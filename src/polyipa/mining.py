@@ -23,14 +23,13 @@ from .features import (
     normalized_feature_distance,
     string_embedding,
 )
-from .ipa import IpaInventory, IpaString, _parse_rows, _tsv_rows, parse_ipa, strip_diacritics_tones
-from .lexicon import Lexicon, PronEntry
+from .ipa import IpaInventory, IpaString, _parse_rows, parse_ipa, strip_diacritics_tones
+from .lexicon import PronEntry
 from .metrics import cer
 
 __all__ = [
     "VectorIndex",
     "MiningParams",
-    "SoundalikePair",
     "build_embedding_matrix",
     "write_embeddings_tsv",
     "load_embeddings_tsv",
@@ -100,13 +99,6 @@ class MiningParams:
             raise ValueError("threshold must be >= 0")
 
 
-@dataclass(frozen=True)
-class SoundalikePair:
-    entry_a: PronEntry
-    entry_b: PronEntry
-    distance: float
-
-
 def build_embedding_matrix(
     entries: Sequence[PronEntry], table: FeatureTable | None = None
 ) -> np.ndarray:
@@ -126,15 +118,19 @@ def write_embeddings_tsv(path, matrix: np.ndarray) -> None:
 
 def load_embeddings_tsv(path) -> np.ndarray:
     rows: list[list[float]] = []
-    for line_no, parts in _tsv_rows(path):
-        if int(parts[0]) != len(rows):
-            raise ValueError(f"{path}: line {line_no}: ids must be 0-based row positions")
-        rows.append([float(v) for v in parts[1:]])
+
+    def parse(row_id: str, *values: str) -> list[float]:
+        if int(row_id) != len(rows):
+            raise ValueError("ids must be 0-based row positions")
+        if rows and len(values) != len(rows[0]):
+            raise DimensionMismatchError(
+                f"ragged embedding rows: widths {sorted({len(rows[0]), len(values)})}")
+        return [float(v) for v in values]
+
+    for vector in _parse_rows(path, parse, None, ""):
+        rows.append(vector)
     if not rows:
         return np.zeros((0, 0), dtype=np.float64)
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DimensionMismatchError(f"ragged embedding rows: widths {sorted(widths)}")
     return np.array(rows, dtype=np.float64)
 
 
@@ -157,20 +153,18 @@ def mine_soundalikes(
     params: MiningParams | None = None,
     distance: DistanceParams | None = None,
     table: FeatureTable | None = None,
-    known: Lexicon | None = None,
-) -> list[SoundalikePair]:
+) -> list[tuple[int, int, float]]:
     """Mine unordered entry pairs whose exact feature edit distance is at or
-    below the threshold.
+    below the threshold, as (i, j, distance) with i < j indexing entries, in
+    (i, j) order.
 
     Candidate generation takes the union of each entry's k nearest
     neighbours, so with k >= len(entries) - 1 the candidate set is every
-    pair and the result is exhaustive. With exclude_existing, pairs that the
-    known lexicon already records as pronunciation variants of each other
-    are dropped.
+    pair and the result is exhaustive. With exclude_existing, a pair is
+    dropped when the entries already give one side's grapheme the other
+    side's transcription in the same language.
     """
     params = params or MiningParams()
-    if params.exclude_existing and known is None:
-        raise ValueError("exclude_existing needs the known lexicon")
     distance = distance or DistanceParams()
     table = table or default_feature_table()
     entries = list(entries)
@@ -181,33 +175,53 @@ def mine_soundalikes(
     codes, lengths, costs = _vocab_and_costs([e.ipa for e in entries], table, distance.sub_scale)
     kept = _edit_distances(codes, lengths, I, J, costs, distance.insert_cost,
                            distance.delete_cost, params.threshold)
-    pairs: list[SoundalikePair] = []
-    for i, j, d in zip(*(column.tolist() for column in kept)):
-        a, b = entries[i], entries[j]
-        if params.exclude_existing and (known.has_pronunciation(a.lang, a.grapheme, b.ipa.text)
-                                        or known.has_pronunciation(b.lang, b.grapheme, a.ipa.text)):
-            continue
-        pairs.append(SoundalikePair(a, b, d))
+    pairs = list(zip(*(column.tolist() for column in kept)))
+    if params.exclude_existing:
+        known = {(e.lang, e.grapheme, e.ipa.text) for e in entries}
+        pairs = [(i, j, d) for i, j, d in pairs
+                 if (entries[i].lang, entries[i].grapheme, entries[j].ipa.text) not in known
+                 and (entries[j].lang, entries[j].grapheme, entries[i].ipa.text) not in known]
     return pairs
 
 
-def write_pairs_tsv(path, pairs: Sequence[SoundalikePair]) -> None:
+def write_pairs_tsv(path, entries: Sequence[PronEntry],
+                    pairs: Sequence[tuple[int, int, float]]) -> None:
+    """One row per mined (i, j, distance): entry i's lang, grapheme and ipa,
+    then entry j's, then the distance."""
     header = "lang_a\tgrapheme_a\tipa_a\tlang_b\tgrapheme_b\tipa_b\tdistance"
+    sides = [f"{e.lang}\t{e.grapheme}\t{e.ipa.text}" for e in entries]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# " + header + "\n")
-        for p in pairs:
-            a, b = p.entry_a, p.entry_b
-            fh.write(f"{a.lang}\t{a.grapheme}\t{a.ipa.text}\t"
-                     f"{b.lang}\t{b.grapheme}\t{b.ipa.text}\t{p.distance!r}\n")
+        for i, j, d in pairs:
+            fh.write(f"{sides[i]}\t{sides[j]}\t{d!r}\n")
 
 
-def read_pairs_tsv(path, inventory: IpaInventory | None = None) -> list[SoundalikePair]:
-    def parse(la: str, ga: str, ia: str, lb: str, gb: str, ib: str, d: str) -> SoundalikePair:
-        return SoundalikePair(PronEntry(la, ga, parse_ipa(ia, inventory)),
-                              PronEntry(lb, gb, parse_ipa(ib, inventory)), float(d))
+def read_pairs_tsv(
+    path, inventory: IpaInventory | None = None,
+) -> dict[tuple[str, str, str], list[IpaString]]:
+    """The pairs file as augment's variant map: each side's (lang, grapheme,
+    ipa) maps to the other sides' transcriptions, in file order, each kept
+    once. Every distinct transcription is parsed once."""
+    parsed: dict[str, IpaString] = {}
 
-    return list(_parse_rows(path, parse, 7, "lang_a<TAB>grapheme_a<TAB>ipa_a<TAB>"
-                                            "lang_b<TAB>grapheme_b<TAB>ipa_b<TAB>distance"))
+    def ipa(text: str) -> IpaString:
+        if text not in parsed:
+            parsed[text] = parse_ipa(text, inventory)
+        return parsed[text]
+
+    def parse(la: str, ga: str, ia: str, lb: str, gb: str, ib: str, d: str):
+        a, b = ipa(ia), ipa(ib)
+        float(d)  # the distance is not used, but must be a number
+        return ((la, ga, a.text), b), ((lb, gb, b.text), a)
+
+    variants: dict[tuple[str, str, str], list[IpaString]] = {}
+    for row in _parse_rows(path, parse, 7, "lang_a<TAB>grapheme_a<TAB>ipa_a<TAB>"
+                                           "lang_b<TAB>grapheme_b<TAB>ipa_b<TAB>distance"):
+        for key, variant in row:
+            bucket = variants.setdefault(key, [])
+            if variant not in bucket:
+                bucket.append(variant)
+    return variants
 
 
 def filter_generation_by_cer(original: str, generated: str,

@@ -19,13 +19,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import InsufficientDataError
 from .ipa import IpaInventory, IpaString, _parse_rows, parse_ipa, strip_diacritics_tones
 from .lexicon import Lexicon, PronEntry, ScriptTable, lang_script_tag
-from .mining import SoundalikePair
 
 __all__ = [
     "SplitSpec",
     "TrainExample",
     "stratified_split",
-    "variant_map_from_pairs",
     "upsample_generate",
     "write_examples_tsv",
     "read_examples_tsv",
@@ -137,25 +135,6 @@ def stratified_split(
         eval_entries.extend(pool[t:t + v])
         train_entries.extend(pool[t + v:])
     return Lexicon(train_entries), Lexicon(eval_entries), Lexicon(test_entries)
-
-
-def variant_map_from_pairs(
-    pairs: Sequence[SoundalikePair],
-) -> dict[tuple[str, str, str], list[IpaString]]:
-    """Index mined pairs both ways: each side's transcription becomes a
-    candidate variant input for the other side's entry."""
-    out: dict[tuple[str, str, str], list[IpaString]] = {}
-
-    def add(entry: PronEntry, variant: IpaString) -> None:
-        key = (entry.lang, entry.grapheme, entry.ipa.text)
-        bucket = out.setdefault(key, [])
-        if all(v.text != variant.text for v in bucket):
-            bucket.append(variant)
-
-    for pair in pairs:
-        add(pair.entry_a, pair.entry_b.ipa)
-        add(pair.entry_b, pair.entry_a.ipa)
-    return out
 
 
 def upsample_generate(

@@ -160,8 +160,7 @@ def test_criterion_02_mining_equals_brute_force():
         threshold = 5.0
         params = MiningParams(k=len(entries), threshold=threshold)
         mined = mine_soundalikes(entries, params)
-        got = {(p.entry_a.grapheme, p.entry_b.grapheme, p.distance)
-               for p in mined}
+        got = {(entries[i].grapheme, entries[j].grapheme, d) for i, j, d in mined}
 
         params = DistanceParams()
         encoded, costs = encode([e.ipa for e in entries], default_feature_table(),

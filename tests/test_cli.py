@@ -424,6 +424,17 @@ def test_mine_exclude_existing_with_key_unset(tmp_path):
     assert mined("--exclude-existing") == []
 
 
+@pytest.mark.parametrize("ratio", ["inf", "nan", "-1"])
+def test_augment_rejects_a_bad_ratio_before_writing(tmp_path, capsys, ratio):
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("de\tkat\tkat\n", encoding="utf-8")
+    out = tmp_path / "aug.tsv"
+    assert run_cli(["augment", "--train", str(lex), "--ratio", ratio,
+                    "--out", str(out)]) == 1
+    assert "--ratio must be a finite number >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_lists_every_config_key():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     rows = [[cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]

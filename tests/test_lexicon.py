@@ -151,14 +151,6 @@ def test_lexicon_deduplicates_and_preserves_order():
     assert [e.grapheme for e in lex] == ["kat", "mit"]
 
 
-def test_lexicon_has_pronunciation_ignores_script():
-    entry = PronEntry("sr", "пас", parse_ipa("pas"), "Cyrl")
-    lex = Lexicon([entry])
-    assert lex.has_pronunciation("sr", "пас", "pas")
-    assert not lex.has_pronunciation("sr", "пас", "pa")
-    assert not lex.has_pronunciation("de", "пас", "pas")
-
-
 def test_lexicon_tsv_roundtrip(tmp_path):
     # clean() keeps graphemes with U+2028, U+0085 and form feeds; only "\n"
     # may end a row, in LF and CRLF files alike

@@ -11,7 +11,6 @@ import pytest
 from _reference_dp import encode, two_row_distance
 from polyipa import (
     DistanceParams,
-    Lexicon,
     MiningParams,
     PronEntry,
     VectorIndex,
@@ -21,6 +20,7 @@ from polyipa import (
     filter_generation_by_cer,
     load_embeddings_tsv,
     mine_soundalikes,
+    mining,
     parse_ipa,
     read_pairs_tsv,
     write_embeddings_tsv,
@@ -123,7 +123,7 @@ def test_exhaustive_mining_matches_brute_force():
     entries = _entries(80, seed=5)
     params = MiningParams(k=len(entries), threshold=1.2)
     mined = mine_soundalikes(entries, params)
-    got = {(p.entry_a.grapheme, p.entry_b.grapheme, p.distance) for p in mined}
+    got = {(entries[i].grapheme, entries[j].grapheme, d) for i, j, d in mined}
     assert got == _brute_force(entries, params.threshold)
     assert got  # the fixture actually produces pairs
 
@@ -132,8 +132,8 @@ def test_small_k_mines_a_subset():
     entries = _entries(60, seed=6)
     exhaustive = mine_soundalikes(entries, MiningParams(k=len(entries), threshold=1.5))
     narrow = mine_soundalikes(entries, MiningParams(k=1, threshold=1.5))
-    full = {(p.entry_a.grapheme, p.entry_b.grapheme) for p in exhaustive}
-    part = {(p.entry_a.grapheme, p.entry_b.grapheme) for p in narrow}
+    full = {(i, j) for i, j, _ in exhaustive}
+    part = {(i, j) for i, j, _ in narrow}
     assert part.issubset(full)
 
 
@@ -164,30 +164,44 @@ def test_mining_needs_two_entries():
 def test_exclude_existing_drops_known_variants():
     a = PronEntry("de", "kat", parse_ipa("kat"))
     b = PronEntry("de", "kat", parse_ipa("kad"))
-    known = Lexicon([a, b])
-    kept = mine_soundalikes([a, b], MiningParams(k=1, threshold=5.0), known=known)
+    kept = mine_soundalikes([a, b], MiningParams(k=1, threshold=5.0))
     assert len(kept) == 1
     dropped = mine_soundalikes(
-        [a, b], MiningParams(k=1, threshold=5.0, exclude_existing=True),
-        known=known)
+        [a, b], MiningParams(k=1, threshold=5.0, exclude_existing=True))
     assert dropped == []
 
 
 def test_exclude_existing_keeps_novel_pairs():
     a = PronEntry("de", "kat", parse_ipa("kat"))
-    b = PronEntry("de", "gat", parse_ipa("kad"))
-    known = Lexicon([a])  # b's pronunciation is not recorded for kat
+    b = PronEntry("de", "gat", parse_ipa("kad"))  # neither grapheme has the other's ipa
     kept = mine_soundalikes(
-        [a, b], MiningParams(k=1, threshold=5.0, exclude_existing=True),
-        known=known)
+        [a, b], MiningParams(k=1, threshold=5.0, exclude_existing=True))
     assert len(kept) == 1
 
 
-def test_exclude_existing_needs_a_known_lexicon():
+def test_exclude_existing_checks_both_directions():
     a = PronEntry("de", "kat", parse_ipa("kat"))
-    b = PronEntry("de", "kat", parse_ipa("kad"))
-    with pytest.raises(ValueError, match="exclude_existing needs the known lexicon"):
-        mine_soundalikes([a, b], MiningParams(k=1, threshold=5.0, exclude_existing=True))
+    b = PronEntry("de", "gat", parse_ipa("kad"))
+    params = MiningParams(k=2, threshold=5.0, exclude_existing=True)
+
+    def pairs(*entries):
+        return {(i, j) for i, j, _ in mine_soundalikes(entries, params)}
+
+    assert pairs(a, b) == {(0, 1)}
+    # the entries already give kat the pronunciation kad, or gat kat
+    assert (0, 1) not in pairs(a, b, PronEntry("de", "kat", parse_ipa("kad")))
+    assert (0, 1) not in pairs(a, b, PronEntry("de", "gat", parse_ipa("kat")))
+    # the same transcription in another language is no witness
+    assert (0, 1) in pairs(a, b, PronEntry("nl", "kat", parse_ipa("kad")))
+
+
+def test_exclude_existing_ignores_script():
+    a = PronEntry("sr", "пас", parse_ipa("pas"), "Cyrl")
+    b = PronEntry("sr", "pas", parse_ipa("pa"), "Latn")
+    params = MiningParams(k=2, threshold=5.0, exclude_existing=True)
+    witness = PronEntry("sr", "пас", parse_ipa("pa"), "Latn")
+    mined = mine_soundalikes([a, b, witness], params)
+    assert (0, 1) not in {(i, j) for i, j, _ in mined}
 
 
 # serialization
@@ -204,15 +218,25 @@ def test_embeddings_tsv_roundtrip(tmp_path):
 
 def test_embeddings_loader_validates_ids(tmp_path):
     path = tmp_path / "emb.tsv"
-    path.write_text("1\t0.0\t0.0\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    path.write_text("0\t0.0\t0.0\n2\t0.0\t0.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"emb\.tsv: line 2: ids must be 0-based"):
         load_embeddings_tsv(path)
 
 
 def test_embeddings_loader_rejects_ragged_rows(tmp_path):
     path = tmp_path / "emb.tsv"
     path.write_text("0\t0.0\t0.0\n1\t0.0\n", encoding="utf-8")
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match=r"emb\.tsv: line 2: "):
+        load_embeddings_tsv(path)
+
+
+def test_embeddings_loader_names_the_line_of_a_bad_field(tmp_path):
+    path = tmp_path / "emb.tsv"
+    path.write_text("0\t1.0\t2.0\n1\tabc\t2.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"emb\.tsv: line 2: could not convert .*'abc'"):
+        load_embeddings_tsv(path)
+    path.write_text("0\t1.0\t2.0\nx\t1.0\t2.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"emb\.tsv: line 2: invalid literal for int"):
         load_embeddings_tsv(path)
 
 
@@ -221,13 +245,33 @@ def test_pairs_tsv_roundtrip(tmp_path):
     pairs = mine_soundalikes(entries, MiningParams(k=len(entries), threshold=1.5))
     assert pairs
     path = tmp_path / "pairs.tsv"
-    write_pairs_tsv(path, pairs)
+    write_pairs_tsv(path, entries, pairs)
+    rows = path.read_text(encoding="utf-8").splitlines()[1:]
+    assert [float(row.split("\t")[-1]) for row in rows] == [d for _, _, d in pairs]
+    want: dict = {}
+    for i, j in ((i, j) for a, b, _ in pairs for i, j in ((a, b), (b, a))):
+        key = (entries[i].lang, entries[i].grapheme, entries[i].ipa.text)
+        want.setdefault(key, []).append(entries[j].ipa.text)
     back = read_pairs_tsv(path)
-    assert len(back) == len(pairs)
-    for orig, loaded in zip(pairs, back):
-        assert loaded.distance == orig.distance
-        assert loaded.entry_a.grapheme == orig.entry_a.grapheme
-        assert loaded.entry_b.ipa.text == orig.entry_b.ipa.text
+    assert {key: [v.text for v in vs] for key, vs in back.items()} == want
+
+
+def test_read_pairs_tsv_indexes_both_directions_once(tmp_path, monkeypatch):
+    path = tmp_path / "pairs.tsv"
+    path.write_text("# header\n"
+                    "de\tkat\tkat\tde\tgat\tkad\t0.5\n"
+                    "de\tkat\tkat\tde\tgat\tkad\t0.5\n"
+                    "de\tgat\tkad\tde\tmat\tmat\t1.0\n", encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(mining, "parse_ipa",
+                        lambda text, inventory=None: calls.append(text) or parse_ipa(text))
+    mapping = read_pairs_tsv(path)
+    assert {key: [v.text for v in vs] for key, vs in mapping.items()} == {
+        ("de", "kat", "kat"): ["kad"],
+        ("de", "gat", "kad"): ["kat", "mat"],
+        ("de", "mat", "mat"): ["kad"],
+    }
+    assert sorted(calls) == ["kad", "kat", "mat"]  # once per distinct transcription
 
 
 def test_pairs_tsv_rejects_short_rows(tmp_path):

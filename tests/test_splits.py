@@ -11,14 +11,12 @@ import pytest
 from polyipa import (
     Lexicon,
     PronEntry,
-    SoundalikePair,
     SplitSpec,
     TrainExample,
     parse_ipa,
     read_examples_tsv,
     stratified_split,
     upsample_generate,
-    variant_map_from_pairs,
     write_examples_tsv,
 )
 from polyipa.errors import InsufficientDataError, UnknownSymbolError
@@ -265,15 +263,6 @@ def test_variant_colliding_with_original_suppressed():
     # here the variant duplicates the first original exactly
     assert [(ex.provenance, ex.ipa.text) for ex in again] == [
         ("original", "kat"), ("original", "kad")]
-
-
-def test_variant_map_indexes_both_directions():
-    a = _entry("de", "kat", "kat")
-    b = _entry("de", "gat", "kad")
-    pairs = [SoundalikePair(a, b, 0.5), SoundalikePair(a, b, 0.5)]
-    mapping = variant_map_from_pairs(pairs)
-    assert [v.text for v in mapping[("de", "kat", "kat")]] == ["kad"]
-    assert [v.text for v in mapping[("de", "gat", "kad")]] == ["kat"]
 
 
 def test_examples_tsv_roundtrip(tmp_path):
