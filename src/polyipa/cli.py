@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .config import KEYS, PipelineConfig, Resources, load as load_config
 from .errors import PolyipaError
-from .ipa import _parse_rows, _read_lines, _tsv_rows, convert_to_ipa, parse_ipa, strip_diacritics_tones
+from .ipa import _parse_rows, _read_lines, convert_to_ipa, parse_ipa, strip_diacritics_tones
 from .lexicon import Lexicon, clean, extract_ipa_pairs, lang_script_tag, read_raw_tsv
 from .metrics import EvalItem, report_from_json, stratify
 from .mining import (
@@ -82,9 +82,7 @@ def _input(path: str):
 
 
 def _first_data_columns(path) -> int:
-    for _, fields in _tsv_rows(path):
-        return len(fields)
-    return 0
+    return next(_parse_rows(path, lambda *fields: len(fields)), 0)
 
 
 def cmd_clean(args, cfg: PipelineConfig, res: Resources) -> int:
@@ -250,7 +248,11 @@ def cmd_eval(args, cfg: PipelineConfig, res: Resources) -> int:
 
 
 def cmd_report(args, cfg: PipelineConfig, res: Resources) -> int:
-    rep = report_from_json(Path(args.input).read_text(encoding="utf-8"))
+    try:
+        rep = report_from_json(Path(args.input).read_text(encoding="utf-8"))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{args.input}: not a readable eval report "
+                         f"({type(exc).__name__}: {exc})") from None
     if args.csv:
         rep.write_csv(args.csv)
     wer_heads = [f"top{n}_wer" for n in rep.ns]

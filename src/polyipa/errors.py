@@ -111,19 +111,9 @@ class InsufficientDataError(PolyipaError):
 class CandidateParseError(PolyipaError):
     """A candidate file line is malformed or ranks are not consecutive."""
 
-    def __init__(self, line_no: int, message: str, path=None):
-        self.line_no = line_no
-        where = f"{path}: line {line_no}" if path is not None else f"line {line_no}"
-        super().__init__(f"{where}: {message}")
-
 
 class NonMonotoneScoresError(PolyipaError):
     """Candidate log scores increase with rank within a block."""
-
-    def __init__(self, line_no: int, message: str, path=None):
-        self.line_no = line_no
-        where = f"{path}: line {line_no}" if path is not None else f"line {line_no}"
-        super().__init__(f"{where}: {message}")
 
 
 class ConfigError(PolyipaError):

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BothEmptyError, EmptyStringError, UnknownSegmentError
-from .ipa import TIE_BARS, IpaSegment, IpaString, _tsv_rows
+from .ipa import TIE_BARS, IpaSegment, IpaString, _parse_rows
 
 __all__ = [
     "FeatureTable",
@@ -64,21 +64,26 @@ class FeatureTable:
 
     @classmethod
     def from_file(cls, path) -> "FeatureTable":
-        tsv = _tsv_rows(path)
-        header = next(tsv, None)
-        if header is None:
-            raise ValueError(f"{path}: missing header row")
-        names = header[1][1:]
-        rows: dict[str, np.ndarray] = {}
-        for line_no, parts in tsv:
-            if len(parts) != len(names) + 1:
-                raise ValueError(f"{path}: line {line_no}: expected {len(names) + 1} columns")
+        """The first data row is the header: a label, then the feature names."""
+        names: tuple[str, ...] | None = None
+
+        def row(symbol: str, *values: str) -> tuple[str, list[int]] | None:
+            nonlocal names
+            if names is None:
+                names = values
+                return None
+            if len(values) != len(names):
+                raise ValueError(f"expected {len(names) + 1} columns")
             try:
-                values = [_VALUES[v] for v in parts[1:]]
+                return unicodedata.normalize("NFC", symbol), [_VALUES[v] for v in values]
             except KeyError as err:
-                raise ValueError(f"{path}: line {line_no}: bad value {err.args[0]!r}") from None
-            rows[unicodedata.normalize("NFC", parts[0])] = np.array(values, dtype=np.int8)
-        return cls(names, rows)
+                raise ValueError(f"bad value {err.args[0]!r}") from None
+
+        rows = dict(filter(None, _parse_rows(path, row)))
+        try:
+            return cls(names or (), rows)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     @property
     def dims(self) -> int:

@@ -133,12 +133,15 @@ class IpaInventory:
             "base": set(), "prosodic": set(), "diacritic": set(),
             "modifier": set(), "tone": set(),
         }
-        for line_no, (symbol, category) in _tsv_rows(path, 2, "symbol<TAB>category"):
+
+        def row(symbol: str, category: str) -> tuple[str, str]:
             if not symbol:
-                raise ValueError(f"{path}: line {line_no}: empty symbol")
-            symbol = unicodedata.normalize("NFC", symbol)
+                raise ValueError("empty symbol")
             if category not in groups:
-                raise ValueError(f"{path}: line {line_no}: unknown category {category!r}")
+                raise ValueError(f"unknown category {category!r}")
+            return category, unicodedata.normalize("NFC", symbol)
+
+        for category, symbol in _parse_rows(path, row, 2, "symbol<TAB>category"):
             groups[category].add(symbol)
         return cls(
             bases=frozenset(groups["base"]),
@@ -166,29 +169,32 @@ def _read_lines(path) -> list[str]:
     return lines
 
 
-def _tsv_rows(path, columns: int | None = None,
-              expected: str = "") -> Iterator[tuple[int, list[str]]]:
-    """Yield (line_no, fields) per tab-separated row, skipping blank and "#"
-    lines. With columns set, a row of any other width raises ValueError
-    naming the file, the line and the expected layout."""
+def _parse_rows(path, parse: Callable, columns: int | None = None, expected: str = "") -> Iterator:
+    """parse(*fields) per tab-separated row, skipping blank and "#" lines. With
+    columns set, a row of another width raises ValueError("expected <expected>").
+    That error and those of parse keep their type, prefixed "path: line N: "."""
     for line_no, line in enumerate(_read_lines(path), start=1):
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
-        if columns is not None and len(fields) != columns:
-            raise ValueError(f"{path}: line {line_no}: expected {expected}")
-        yield line_no, fields
-
-
-def _parse_rows(path, parse: Callable, columns: int | None, expected: str) -> Iterator:
-    """parse(*fields) per row; its errors keep their type, prefixed with file and line."""
-    for line_no, fields in _tsv_rows(path, columns, expected):
         try:
+            if columns is not None and len(fields) != columns:
+                raise ValueError(f"expected {expected}")
             row = parse(*fields)
         except (PolyipaError, ValueError) as exc:
             exc.args = (f"{path}: line {line_no}: {exc}",)
             raise
         yield row
+
+
+def _write_rows(path, rows: Iterable[Iterable[str]], header: Iterable[str] | None = None) -> None:
+    """Write each row's fields tab-separated, one row per line, after a
+    "# name<TAB>name..." comment line when header names the columns."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write("# " + "\t".join(header) + "\n")
+        for row in rows:
+            fh.write("\t".join(row) + "\n")
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,18 +14,17 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .errors import NoScriptError, UnknownLanguageError
+from .errors import NoScriptError, UnknownLanguageError, UnknownSymbolError
 from .ipa import (
     IpaInventory,
     IpaString,
     _parse_rows,
-    _tsv_rows,
+    _write_rows,
     default_inventory,
     normalize_text,
     segment_ipa,
-    validate_ipa,
 )
 
 __all__ = [
@@ -231,9 +230,7 @@ class Lexicon:
                                3, "lang<TAB>grapheme<TAB>ipa"))
 
     def write_tsv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for e in self.entries:
-                fh.write(f"{e.lang}\t{e.grapheme}\t{e.ipa.text}\n")
+        _write_rows(path, ((e.lang, e.grapheme, e.ipa.text) for e in self.entries))
 
 
 @dataclass
@@ -269,40 +266,38 @@ class CleaningReport:
         )
 
 
-def read_raw_tsv(path) -> list[tuple[str, str, str]]:
-    """Read raw rows without any validation (malformed rows included as-is
-    when they at least split into three columns; others are kept for clean()
-    to count). Returns (lang, grapheme, ipa) string triples."""
-    rows: list[tuple[str, str, str]] = []
-    for _, parts in _tsv_rows(path):
-        parts += [""] * (3 - len(parts))
-        rows.append((parts[0], parts[1], parts[2]))
-    return rows
+def read_raw_tsv(path) -> list[tuple[str, ...]]:
+    """Read raw rows without any validation: each row's fields as they are,
+    whatever their number, for clean() to check and count."""
+    return list(_parse_rows(path, lambda *fields: fields))
 
 
 def clean(
-    rows: Iterable[tuple[str, str, str]],
+    rows: Iterable[Sequence[str]],
     inventory: IpaInventory | None = None,
     registry: LanguageRegistry | None = None,
     scripts: ScriptTable | None = None,
 ) -> tuple[Lexicon, CleaningReport]:
-    """Run the full cleaning pipeline over raw rows.
+    """Run the full cleaning pipeline over raw (lang, grapheme, ipa) rows.
 
-    Order: text normalization, graphemes that are empty or contain a tab or
-    line break, language-code resolution, IPA validation, script check
+    Order: rows without exactly three fields, text normalization, graphemes
+    that are empty or contain a tab or line break, language-code resolution,
+    IPA that does not segment or has no featural segment, script check
     (skipped when the language has no official-script row), exact-duplicate
-    removal. Idempotent: cleaning a cleaned lexicon's rows retains
-    everything.
+    removal. Idempotent: cleaning a cleaned lexicon's rows retains everything.
     """
     inv = inventory or default_inventory()
     registry = registry or default_registry()
     scripts = scripts or default_scripts()
     report = CleaningReport()
-    kept: list[PronEntry] = []
-    seen: set[tuple[str, str, str, str]] = set()
+    kept: dict[tuple[str, str, str, str], PronEntry] = {}
 
-    for lang_raw, grapheme_raw, ipa_raw in rows:
+    for fields in rows:
         report.input_count += 1
+        if len(fields) != 3:
+            report.remove("column-count")
+            continue
+        lang_raw, grapheme_raw, ipa_raw = fields
         grapheme = normalize_text(grapheme_raw)
         ipa_text = normalize_text(ipa_raw)
         if not grapheme:
@@ -315,16 +310,19 @@ def clean(
         try:
             lang = normalize_lang_code(lang_raw, registry)
         except UnknownLanguageError:
-            report.remove("unknown-language")
-            continue
+            lang = ""
         if not _LANG_RE.match(lang):
             report.remove("unknown-language")
             continue
-        if not validate_ipa(ipa_text, inv).ok:
+        try:
+            ipa = segment_ipa(ipa_text, inv)
+            featural = any(seg.base not in inv.prosodic for seg in ipa.segments)
+        except UnknownSymbolError:
+            featural = False
+        if not featural:
             report.remove("invalid-ipa")
             continue
         official = scripts.get(lang)
-        script: str | None = None
         try:
             script = detect_script(grapheme)
         except NoScriptError:
@@ -333,15 +331,14 @@ def clean(
         if official is not None and script not in official:
             report.remove("script-mismatch")
             continue
-        entry = PronEntry(lang, grapheme, segment_ipa(ipa_text, inv), script)
-        if entry.key in seen:
+        entry = PronEntry(lang, grapheme, ipa, script)
+        if entry.key in kept:
             report.remove("duplicate")
             continue
-        seen.add(entry.key)
-        kept.append(entry)
+        kept[entry.key] = entry
 
     report.retained_count = len(kept)
-    return Lexicon(kept), report
+    return Lexicon(kept.values()), report
 
 
 def lang_script_tag(entry: PronEntry, scripts: ScriptTable | None = None) -> str:

@@ -244,6 +244,8 @@ def stratify(items: Iterable[EvalItem], ns: tuple[int, ...] = (1, 3, 5)) -> Eval
 
 
 def _row_from_dict(payload: dict) -> MetricsRow:
+    if not isinstance(payload["lang"], str):
+        raise TypeError(f"lang {payload['lang']!r} is not a string")
     return MetricsRow(
         lang=payload["lang"],
         n_samples=int(payload["n_samples"]),
@@ -261,4 +263,7 @@ def report_from_json(text: str) -> EvalReport:
     payload = json.loads(text)
     overall = _row_from_dict(payload["overall"])
     rows = [_row_from_dict(r) for r in payload["languages"]]
-    return EvalReport(rows=rows, overall=overall, ns=tuple(sorted(overall.top_wer)))
+    ns = tuple(sorted(overall.top_wer))
+    if any(tuple(sorted(row.top_wer)) != ns for row in rows):
+        raise ValueError(f"a language row's top_wer keys differ from the overall {list(ns)}")
+    return EvalReport(rows=rows, overall=overall, ns=ns)

@@ -23,7 +23,7 @@ from .features import (
     normalized_feature_distance,
     string_embedding,
 )
-from .ipa import IpaInventory, IpaString, _parse_rows, parse_ipa, strip_diacritics_tones
+from .ipa import IpaInventory, IpaString, _parse_rows, _write_rows, parse_ipa, strip_diacritics_tones
 from .lexicon import PronEntry
 from .metrics import cer
 
@@ -111,9 +111,8 @@ def build_embedding_matrix(
 
 def write_embeddings_tsv(path, matrix: np.ndarray) -> None:
     """Rows as id<TAB>v1<TAB>...<TAB>vD; ids are 0-based row positions."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, row in enumerate(np.asarray(matrix, dtype=np.float64)):
-            fh.write(str(i) + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
+    _write_rows(path, ([str(i), *map(repr, row)]
+                       for i, row in enumerate(np.asarray(matrix, dtype=np.float64).tolist())))
 
 
 def load_embeddings_tsv(path) -> np.ndarray:
@@ -127,11 +126,9 @@ def load_embeddings_tsv(path) -> np.ndarray:
                 f"ragged embedding rows: widths {sorted({len(rows[0]), len(values)})}")
         return [float(v) for v in values]
 
-    for vector in _parse_rows(path, parse, None, ""):
+    for vector in _parse_rows(path, parse):
         rows.append(vector)
-    if not rows:
-        return np.zeros((0, 0), dtype=np.float64)
-    return np.array(rows, dtype=np.float64)
+    return np.array(rows or np.zeros((0, 0)), dtype=np.float64)
 
 
 def _nearest_pairs(entries: Sequence[PronEntry], k: int, table: FeatureTable):
@@ -184,16 +181,15 @@ def mine_soundalikes(
     return pairs
 
 
+_PAIR_COLUMNS = ("lang_a", "grapheme_a", "ipa_a", "lang_b", "grapheme_b", "ipa_b", "distance")
+
+
 def write_pairs_tsv(path, entries: Sequence[PronEntry],
                     pairs: Sequence[tuple[int, int, float]]) -> None:
     """One row per mined (i, j, distance): entry i's lang, grapheme and ipa,
     then entry j's, then the distance."""
-    header = "lang_a\tgrapheme_a\tipa_a\tlang_b\tgrapheme_b\tipa_b\tdistance"
-    sides = [f"{e.lang}\t{e.grapheme}\t{e.ipa.text}" for e in entries]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# " + header + "\n")
-        for i, j, d in pairs:
-            fh.write(f"{sides[i]}\t{sides[j]}\t{d!r}\n")
+    sides = [(e.lang, e.grapheme, e.ipa.text) for e in entries]
+    _write_rows(path, ((*sides[i], *sides[j], repr(d)) for i, j, d in pairs), _PAIR_COLUMNS)
 
 
 def read_pairs_tsv(
@@ -215,8 +211,7 @@ def read_pairs_tsv(
         return ((la, ga, a.text), b), ((lb, gb, b.text), a)
 
     variants: dict[tuple[str, str, str], list[IpaString]] = {}
-    for row in _parse_rows(path, parse, 7, "lang_a<TAB>grapheme_a<TAB>ipa_a<TAB>"
-                                           "lang_b<TAB>grapheme_b<TAB>ipa_b<TAB>distance"):
+    for row in _parse_rows(path, parse, len(_PAIR_COLUMNS), "<TAB>".join(_PAIR_COLUMNS)):
         for key, variant in row:
             bucket = variants.setdefault(key, [])
             if variant not in bucket:

@@ -28,7 +28,7 @@ from .errors import (
     NonMonotoneScoresError,
     UnknownTagWarning,
 )
-from .ipa import IpaString, _tsv_rows
+from .ipa import IpaString, _parse_rows, _write_rows
 from .lexicon import Lexicon, ScriptTable, lang_script_tag
 
 __all__ = [
@@ -731,10 +731,8 @@ def beam_decode(
 
 def write_candidates_tsv(path, blocks: Iterable[tuple[str, str, list[Candidate]]]) -> None:
     """Write candidate blocks as tag<TAB>ipa<TAB>rank<TAB>grapheme<TAB>log_score."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for tag, ipa_text, candidates in blocks:
-            for cand in candidates:
-                fh.write(f"{tag}\t{ipa_text}\t{cand.beam_rank}\t{cand.grapheme}\t{cand.log_score!r}\n")
+    _write_rows(path, ((tag, ipa_text, str(cand.beam_rank), cand.grapheme, repr(cand.log_score))
+                       for tag, ipa_text, candidates in blocks for cand in candidates))
 
 
 def load_external_candidates(path) -> dict[tuple[str, str], list[Candidate]]:
@@ -744,23 +742,25 @@ def load_external_candidates(path) -> dict[tuple[str, str], list[Candidate]]:
     blocks for different keys may interleave.
     """
     result: dict[tuple[str, str], list[Candidate]] = {}
-    for line_no, parts in _tsv_rows(path):
-        if len(parts) != 5:
-            raise CandidateParseError(line_no, f"expected 5 columns, got {len(parts)}", path)
-        tag, ipa_text, rank_raw, grapheme, score_raw = parts
+
+    def parse(*fields: str) -> tuple[tuple[str, str], Candidate]:
+        if len(fields) != 5:
+            raise CandidateParseError(f"expected 5 columns, got {len(fields)}")
+        tag, ipa_text, rank_raw, grapheme, score_raw = fields
         try:
-            rank = int(rank_raw)
-            score = float(score_raw)
+            rank, score = int(rank_raw), float(score_raw)
         except ValueError:
-            raise CandidateParseError(
-                line_no, "rank must be int, log_score float", path) from None
+            raise CandidateParseError("rank must be int, log_score float") from None
         key = (tag, ipa_text)
-        block = result.setdefault(key, [])
+        block = result.get(key, [])
         if rank != len(block) + 1:
             raise CandidateParseError(
-                line_no, f"rank {rank} out of order for {key}; expected {len(block) + 1}", path)
+                f"rank {rank} out of order for {key}; expected {len(block) + 1}")
         if block and score > block[-1].log_score:
             raise NonMonotoneScoresError(
-                line_no, f"log_score {score} exceeds previous {block[-1].log_score}", path)
-        block.append(Candidate(grapheme, score, rank))
+                f"log_score {score} exceeds previous {block[-1].log_score}")
+        return key, Candidate(grapheme, score, rank)
+
+    for key, cand in _parse_rows(path, parse):
+        result.setdefault(key, []).append(cand)
     return result

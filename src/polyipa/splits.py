@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InsufficientDataError
-from .ipa import IpaInventory, IpaString, _parse_rows, parse_ipa, strip_diacritics_tones
+from .ipa import IpaInventory, IpaString, _parse_rows, _write_rows, parse_ipa, strip_diacritics_tones
 from .lexicon import Lexicon, PronEntry, ScriptTable, lang_script_tag
 
 __all__ = [
@@ -208,9 +208,7 @@ def upsample_generate(
 
 def write_examples_tsv(path, examples: Iterable[TrainExample]) -> None:
     """tag<TAB>grapheme<TAB>ipa<TAB>provenance, one emission per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(f"{ex.tag}\t{ex.target}\t{ex.ipa.text}\t{ex.provenance}\n")
+    _write_rows(path, ((ex.tag, ex.target, ex.ipa.text, ex.provenance) for ex in examples))
 
 
 def read_examples_tsv(path, inventory: IpaInventory | None = None) -> list[TrainExample]:

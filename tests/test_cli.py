@@ -314,6 +314,18 @@ def test_clean_fixture_via_cli(fixture_corpus, tmp_path):
         "duplicate": 2, "invalid-ipa": 5, "script-mismatch": 3}
 
 
+def test_clean_removes_rows_without_three_fields(tmp_path):
+    raw = tmp_path / "raw.tsv"
+    raw.write_text("de\tkatze\tkatsə\nde\tk\tat\tkat\nde\tkat\n", encoding="utf-8")
+    out = tmp_path / "clean.tsv"
+    report_path = tmp_path / "report.json"
+    assert run_cli(["clean", "--input", str(raw), "--output", str(out),
+                    "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report["removed_by_rule"] == {"column-count": 2}
+    assert out.read_text(encoding="utf-8") == "de\tkatze\tkatsə\n"
+
+
 # exit codes and help
 
 def test_version_and_usage_exits(capsys):
@@ -335,6 +347,21 @@ def test_bad_config_exits_one(tmp_path, monkeypatch, capsys):
     assert run_cli(["clean", "--input", str(tmp_path / "x.tsv"),
                     "--output", str(tmp_path / "y.tsv")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: {"overall": {"lang": "overall"}, "languages": []},
+    lambda doc: {**doc, "overall": {**doc["overall"], "top_wer": []}},
+    lambda doc: {**doc, "languages": [{**doc["languages"][0], "top_wer": {}}]},
+    lambda doc: {**doc, "languages": [{**doc["languages"][0], "lang": None}]},
+], ids=["missing-field", "top-wer-list", "top-wer-keys-differ", "lang-null"])
+def test_report_rejects_a_malformed_report(pipeline, tmp_path, capsys, mutate):
+    doc = json.loads(pipeline["eval_report"].read_text(encoding="utf-8"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutate(doc)), encoding="utf-8")
+    assert run_cli(["report", "--input", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {bad}: not a readable eval report (")
 
 
 def test_internal_error_exits_two(monkeypatch, tmp_path, capsys):

@@ -21,7 +21,8 @@ from polyipa import (
     parse_ipa,
 )
 from polyipa.errors import NoScriptError, UnknownLanguageError, UnknownSymbolError
-from polyipa.ipa import NotationChart
+from polyipa.features import FeatureTable
+from polyipa.ipa import IpaInventory, NotationChart
 
 
 # language registry
@@ -183,10 +184,17 @@ def test_table_loaders_name_the_line_of_an_empty_key(tmp_path):
     for loader, text, message in [
             (ScriptTable.from_file, "de\tLatn\nru\t\n", "empty scripts"),
             (LanguageRegistry.from_file, "deu\tde\tGerman\n\tfr\tFrench\n", "empty alpha3 code"),
-            (NotationChart.from_file, "a\ta\n\tb\n", "empty source")]:
+            (NotationChart.from_file, "a\ta\n\tb\n", "empty source"),
+            (IpaInventory.from_file, "a\tbase\n\tbase\n", "empty symbol"),
+            (IpaInventory.from_file, "a\tbase\nb\tx\n", "unknown category 'x'"),
+            (FeatureTable.from_file, "seg\tsyl\tcons\na\t+\n", "expected 3 columns"),
+            (FeatureTable.from_file, "seg\tsyl\tcons\na\t+\tx\n", "bad value 'x'")]:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=rf"table\.tsv: line 2: {message}$"):
             loader(path)
+    path.write_text("seg\tsyl\tcons\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"table\.tsv: feature table needs a header"):
+        FeatureTable.from_file(path)
 
 
 def test_lexicon_read_tsv_names_the_line_of_a_bad_transcription(tmp_path):

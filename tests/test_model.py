@@ -462,7 +462,7 @@ def test_candidates_loader_validates_ranks(tmp_path):
     path = tmp_path / "cands.tsv"
     path.write_text("<de>\tkat\t1\tkat\t-0.5\n<de>\tkat\t3\tkot\t-1.0\n",
                     encoding="utf-8")
-    with pytest.raises(CandidateParseError):
+    with pytest.raises(CandidateParseError, match=r"cands\.tsv: line 2: rank 3 out of order"):
         load_external_candidates(path)
 
 
@@ -470,17 +470,18 @@ def test_candidates_loader_requires_monotone_scores(tmp_path):
     path = tmp_path / "cands.tsv"
     path.write_text("<de>\tkat\t1\tkat\t-2.0\n<de>\tkat\t2\tkot\t-1.0\n",
                     encoding="utf-8")
-    with pytest.raises(NonMonotoneScoresError):
+    with pytest.raises(NonMonotoneScoresError, match=r"cands\.tsv: line 2: log_score -1\.0 exceeds"):
         load_external_candidates(path)
 
 
 def test_candidates_loader_validates_columns_and_floats(tmp_path):
     path = tmp_path / "cands.tsv"
-    path.write_text("<de>\tkat\t1\tkat\n", encoding="utf-8")
-    with pytest.raises(CandidateParseError):
+    good = "<ru>\tmot\t1\tmot\t-0.7\n"
+    path.write_text(good + "<de>\tkat\t1\tkat\n", encoding="utf-8")
+    with pytest.raises(CandidateParseError, match=r"cands\.tsv: line 2: expected 5 columns, got 4$"):
         load_external_candidates(path)
-    path.write_text("<de>\tkat\tone\tkat\t-0.5\n", encoding="utf-8")
-    with pytest.raises(CandidateParseError):
+    path.write_text(good + "<de>\tkat\tone\tkat\t-0.5\n", encoding="utf-8")
+    with pytest.raises(CandidateParseError, match=r"cands\.tsv: line 2: rank must be int"):
         load_external_candidates(path)
 
 
