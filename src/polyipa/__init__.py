@@ -7,14 +7,12 @@ stratified evaluation harness. One CLI (`polyipa`) drives the pipeline.
 """
 
 from .errors import (
-    AlignmentFailureError,
     BothEmptyError,
     CandidateParseError,
     ConfigError,
     DimensionMismatchError,
     EmptyInputError,
     EmptyLexiconError,
-    EmptyOriginalError,
     EmptyStringError,
     InsufficientDataError,
     NoCandidatesError,
@@ -69,9 +67,6 @@ from .mining import (
     MiningParams,
     VectorIndex,
     build_embedding_matrix,
-    filter_by_feature_distance,
-    filter_generation_by_cer,
-    load_embeddings_tsv,
     mine_soundalikes,
     read_pairs_tsv,
     write_embeddings_tsv,
@@ -118,11 +113,10 @@ __all__ = [
     # errors
     "PolyipaError", "UnknownSymbolError", "UnmappableTokenError",
     "UnknownSegmentError", "EmptyStringError", "BothEmptyError",
-    "EmptyOriginalError", "DimensionMismatchError", "UnknownLanguageError",
-    "NoScriptError", "AlignmentFailureError", "EmptyLexiconError",
-    "EmptyInputError", "NoCandidatesError", "InsufficientDataError",
-    "CandidateParseError", "NonMonotoneScoresError", "ConfigError",
-    "UnknownTagWarning",
+    "DimensionMismatchError", "UnknownLanguageError", "NoScriptError",
+    "EmptyLexiconError", "EmptyInputError", "NoCandidatesError",
+    "InsufficientDataError", "CandidateParseError", "NonMonotoneScoresError",
+    "ConfigError", "UnknownTagWarning",
     # ipa
     "IpaInventory", "IpaSegment", "IpaString", "TranscriptionSystem",
     "convert_to_ipa", "default_inventory", "normalize_text", "parse_ipa",
@@ -138,9 +132,8 @@ __all__ = [
     "normalize_lang_code", "read_raw_tsv",
     # mining
     "MiningParams", "VectorIndex",
-    "build_embedding_matrix", "filter_by_feature_distance",
-    "filter_generation_by_cer", "load_embeddings_tsv", "mine_soundalikes",
-    "read_pairs_tsv", "write_embeddings_tsv", "write_pairs_tsv",
+    "build_embedding_matrix", "mine_soundalikes", "read_pairs_tsv",
+    "write_embeddings_tsv", "write_pairs_tsv",
     # model
     "Candidate", "ChunkAligner", "JointModel", "beam_decode",
     "effective_beam_width", "load_external_candidates", "train",

@@ -9,11 +9,9 @@ __all__ = [
     "UnknownSegmentError",
     "EmptyStringError",
     "BothEmptyError",
-    "EmptyOriginalError",
     "DimensionMismatchError",
     "UnknownLanguageError",
     "NoScriptError",
-    "AlignmentFailureError",
     "EmptyLexiconError",
     "EmptyInputError",
     "NoCandidatesError",
@@ -68,10 +66,6 @@ class BothEmptyError(PolyipaError):
     """Normalized distance is undefined when both strings are empty."""
 
 
-class EmptyOriginalError(PolyipaError):
-    """Generation filtering needs a non-empty original transcription."""
-
-
 class DimensionMismatchError(PolyipaError):
     """A vector's dimensionality disagrees with the index."""
 
@@ -86,10 +80,6 @@ class UnknownLanguageError(PolyipaError):
 
 class NoScriptError(PolyipaError):
     """Script detection found no script-bearing characters."""
-
-
-class AlignmentFailureError(PolyipaError):
-    """A phoneme/grapheme pair cannot be chunk-aligned."""
 
 
 class EmptyLexiconError(PolyipaError):

@@ -157,12 +157,14 @@ def _read_lines(path) -> list[str]:
 
     "\r\n" and "\r" read as "\n", and only "\n" ends a line: unlike
     str.splitlines, U+0085, U+2028 and form feeds stay inside the line,
-    because clean() keeps graphemes that contain them.
+    because clean() keeps graphemes that contain them. One leading
+    byte-order mark is dropped.
     """
     if path == "-":
         text = sys.stdin.read()
     else:
         text = (path if hasattr(path, "read_text") else Path(path)).read_text(encoding="utf-8")
+    text = text.removeprefix("\ufeff")
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()

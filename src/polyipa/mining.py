@@ -13,31 +13,26 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BothEmptyError, DimensionMismatchError, EmptyOriginalError
+from .errors import DimensionMismatchError
 from .features import (
     DistanceParams,
     FeatureTable,
     _edit_distances,
     _vocab_and_costs,
     default_feature_table,
-    normalized_feature_distance,
     string_embedding,
 )
-from .ipa import IpaInventory, IpaString, _parse_rows, _write_rows, parse_ipa, strip_diacritics_tones
+from .ipa import IpaInventory, IpaString, _parse_rows, _write_rows, parse_ipa
 from .lexicon import PronEntry
-from .metrics import cer
 
 __all__ = [
     "VectorIndex",
     "MiningParams",
     "build_embedding_matrix",
     "write_embeddings_tsv",
-    "load_embeddings_tsv",
     "mine_soundalikes",
     "write_pairs_tsv",
     "read_pairs_tsv",
-    "filter_generation_by_cer",
-    "filter_by_feature_distance",
 ]
 
 
@@ -113,22 +108,6 @@ def write_embeddings_tsv(path, matrix: np.ndarray) -> None:
     """Rows as id<TAB>v1<TAB>...<TAB>vD; ids are 0-based row positions."""
     _write_rows(path, ([str(i), *map(repr, row)]
                        for i, row in enumerate(np.asarray(matrix, dtype=np.float64).tolist())))
-
-
-def load_embeddings_tsv(path) -> np.ndarray:
-    rows: list[list[float]] = []
-
-    def parse(row_id: str, *values: str) -> list[float]:
-        if int(row_id) != len(rows):
-            raise ValueError("ids must be 0-based row positions")
-        if rows and len(values) != len(rows[0]):
-            raise DimensionMismatchError(
-                f"ragged embedding rows: widths {sorted({len(rows[0]), len(values)})}")
-        return [float(v) for v in values]
-
-    for vector in _parse_rows(path, parse):
-        rows.append(vector)
-    return np.array(rows or np.zeros((0, 0)), dtype=np.float64)
 
 
 def _nearest_pairs(entries: Sequence[PronEntry], k: int, table: FeatureTable):
@@ -217,30 +196,3 @@ def read_pairs_tsv(
             if variant not in bucket:
                 bucket.append(variant)
     return variants
-
-
-def filter_generation_by_cer(original: str, generated: str,
-                             max_cer: float = 0.15) -> bool:
-    """Keep a generated spelling only while it stays close to the original;
-    the boundary value itself is kept."""
-    if not original:
-        raise EmptyOriginalError("original spelling is empty")
-    return cer(original, generated) <= max_cer
-
-
-def filter_by_feature_distance(
-    a: IpaString,
-    b: IpaString,
-    max_distance: float = 0.01,
-    params: DistanceParams | None = None,
-    table: FeatureTable | None = None,
-    inventory: IpaInventory | None = None,
-) -> bool:
-    """Near-duplicate check on stripped transcriptions: keep strictly under
-    the normalized distance bound. Raises BothEmptyError when stripping
-    leaves nothing on either side."""
-    sa = strip_diacritics_tones(a, inventory=inventory)
-    sb = strip_diacritics_tones(b, inventory=inventory)
-    if not sa.segments and not sb.segments:
-        raise BothEmptyError("both transcriptions are empty after stripping")
-    return normalized_feature_distance(sa, sb, params, table) < max_distance

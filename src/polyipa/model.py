@@ -1,7 +1,8 @@
 """Joint-sequence n-gram phoneme-to-grapheme model with n-best beam decoding.
 
 Training entries are chunk-aligned by EM (chunk shapes up to 2 phonemes by
-2 graphemes, never 0:0), then an n-gram model with absolute-discount
+2 graphemes, never 0:0) and chunked by Viterbi over the same compiled
+lattices, then an n-gram model with absolute-discount
 interpolation is counted over token streams of the form
 
     [BOS ... BOS, <lang tag>, chunk, chunk, ..., EOS]
@@ -12,6 +13,7 @@ and keeps the usual breadth-limited beam with early stopping.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -21,7 +23,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    AlignmentFailureError,
     CandidateParseError,
     EmptyInputError,
     EmptyLexiconError,
@@ -58,6 +59,10 @@ _FIELDS = frozenset({"format", "version", "order", "discount", "tokens", "ngrams
 # training rows per compiled block of EM lattices
 _BLOCK_ROWS = 1024
 _SHAPES = tuple((p, g) for p in range(3) for g in range(3) if (p, g) != (0, 0))
+# Viterbi's tie rank per shape: of equal-score edges into one cell, the one
+# with fewer symbols wins, then the one with fewer phonemes
+_TIE_RANK = np.array([sorted(_SHAPES, key=lambda s: (s[0] + s[1], s[0])).index(s)
+                      for s in _SHAPES], dtype=np.int8)
 
 
 def _tag_token(tag: str) -> Token:
@@ -124,8 +129,9 @@ def _piece(code: int, symbols: list[str]) -> tuple[str, ...]:
 class _Block:
     """The chunk lattices of one block of training rows as integer arrays,
     built once per fit, with one batched forward-backward pass per EM
-    iteration. Identical rows share one lattice: rows are the block's
-    distinct rows, and copies gives the distinct row of every row.
+    iteration and one max-plus pass for the Viterbi chunking. Identical
+    rows share one lattice: rows are the block's distinct rows, and copies
+    gives the distinct row of every row.
 
     Cells (i, j) of all distinct rows are numbered by anti-diagonal i + j,
     then row, then i, so that each diagonal is one contiguous slice. Edges
@@ -175,8 +181,8 @@ class _Block:
         n_edges = int(edge_base[-1])
         n_segs, n_chars = len(seg_ids), len(char_ids)
         letter_codes = 1 + n_chars + n_chars * n_chars
-        # five int32 arrays of n_edges entries, filled here
-        src, tgt, cid, fwd, bwd = fields
+        # five int32 arrays and one int8 array of n_edges entries, filled here
+        src, tgt, cid, fwd, bwd, rank = fields
         keys = np.empty(n_edges, dtype=np.int64)
         for shape, members in shapes.items():
             ti, tj, ts = templates[shape]
@@ -185,6 +191,7 @@ class _Block:
             at = edge_base[members][:, None] + np.arange(len(ti))
             src[at] = cell_start[base + ti + tj] + ti
             tgt[at] = cell_start[base + ti + tp + tj + tg] + ti + tp
+            rank[at] = _TIE_RANK[ts]
             phones = _piece_codes(np.array([[seg_ids[s] for s in rows[r][0]] for r in members]),
                                   n_segs)
             letters = _piece_codes(np.array([[char_ids[c] for c in rows[r][1]] for r in members]),
@@ -192,13 +199,13 @@ class _Block:
             keys[at] = phones[:, ti, tp] * letter_codes + letters[:, tj, tg]
         self.codes, cid[:] = np.unique(keys, return_inverse=True)
         del keys
-        self._src, self._tgt, self._cid = src, tgt, cid
+        self._src, self._tgt, self._cid, self._rank = src, tgt, cid, rank
         # edges grouped by target, and by source with the shapes reversed
         fwd[:] = np.argsort(tgt, kind="stable")
         bwd[:] = n_edges - 1 - np.argsort(src[::-1], kind="stable")
         self._fwd, self._bwd = fwd, bwd
         # the distinct row of every row, and the first edge of every distinct row
-        self._copies = np.array(copies, dtype=np.intp)
+        self.copies = np.array(copies, dtype=np.intp)
         self._edge_base = edge_base
 
         diag_end = np.searchsorted(rd_diag[by_diag], np.arange(int(last.max(initial=-1)) + 1),
@@ -254,7 +261,7 @@ class _Block:
     def z(self, weights: np.ndarray):
         """Scaled z and its exponent for every row of the block."""
         alpha, alpha_exp = self._forward(weights)
-        final = self._final_cell[self._copies]
+        final = self._final_cell[self.copies]
         return alpha[final], alpha_exp[final]
 
     def posteriors(self, weights: np.ndarray):
@@ -286,10 +293,49 @@ class _Block:
         shift += beta_exp[tgt]
         np.ldexp(post, shift, out=post)
         # the edges of every row of the block, copies included, in row order
-        start = self._edge_base[self._copies]
-        sizes = self._edge_base[self._copies + 1] - start
+        start = self._edge_base[self.copies]
+        sizes = self._edge_base[self.copies + 1] - start
         edges = np.arange(int(sizes.sum())) + np.repeat(start - np.cumsum(sizes) + sizes, sizes)
-        return cid[edges], post[edges], z[self._copies], z_exp[self._copies]
+        return cid[edges], post[edges], z[self.copies], z_exp[self.copies]
+
+    def best_paths(self, logs: np.ndarray) -> list[list[int] | None]:
+        """Chunk ids along the best path of every distinct row under chunk
+        log weights, None for a row without a path. Float max is exact, so
+        the best score does not depend on the order of the edges; among
+        equal-score edges into one cell the lowest _TIE_RANK wins."""
+        src, cid = self._src, self._cid
+        score = np.full(self._n_cells, -math.inf)
+        score[:self._rows] = 0.0
+        back = np.empty(self._n_cells, dtype=np.int32)  # the best edge into each cell
+        for lo, hi, f0, f1, *_ in self._diags[1:]:
+            e = self._fwd[f0:f1]
+            t = self._tgt[e] - lo
+            # every cell past diagonal 0 has an incoming edge, and e lists
+            # each cell's edges together
+            starts = np.searchsorted(t, np.arange(hi - lo))
+            cand = score[src[e]] + logs[cid[e]]
+            best = np.maximum.reduceat(cand, starts)
+            rank = np.where(cand == best[t], self._rank[e], len(_SHAPES))
+            score[lo:hi] = best
+            back[lo:hi] = e[rank == np.minimum.reduceat(rank, starts)[t]]
+        # walk all rows back from their final cells at once, one edge a step
+        reached = np.flatnonzero(score[self._final_cell] > -math.inf)
+        on_path = np.zeros(len(cid), dtype=bool)
+        cells = self._final_cell[reached]
+        while len(cells):
+            e = back[cells]
+            on_path[e] = True
+            cells = src[e]
+            cells = cells[cells >= self._rows]  # diagonal 0 holds the start cells
+        # edges are stored by row, then source cell row-major, and the cells
+        # of a path rise in that order: edge order is path order
+        edges = np.flatnonzero(on_path)
+        ids = cid[edges].tolist()
+        ends = np.searchsorted(edges, self._edge_base[reached + 1]).tolist()
+        paths: list[list[int] | None] = [None] * self._rows
+        for r, lo, hi in zip(reached.tolist(), [0] + ends, ends):
+            paths[r] = ids[lo:hi]
+        return paths
 
 
 class _Lattices:
@@ -315,7 +361,7 @@ class _Lattices:
                                 for distinct, _ in blocks])
         # one allocation per edge field for all blocks: many block-sized
         # arrays land in the C heap, which keeps their pages after the fit
-        fields = [np.empty(int(ends[-1]), dtype=np.int32) for _ in range(5)]
+        fields = [np.empty(int(ends[-1]), dtype=dtype) for dtype in [np.int32] * 5 + [np.int8]]
         self._blocks = [_Block(distinct, copies, seg_ids, char_ids, [f[lo:hi] for f in fields])
                         for (distinct, copies), lo, hi in zip(blocks, ends[:-1], ends[1:])]
         self._codes = np.unique(np.concatenate([np.zeros(0, dtype=np.int64)]
@@ -354,6 +400,18 @@ class _Lattices:
         """Sum of log z over the rows with a path under chunk weights."""
         return sum(_log_z(*block.z(weights)) for block in self._blocks)
 
+    def best_chunkings(self, logs: np.ndarray,
+                       chunks: dict[int, Chunk]) -> list[tuple[Chunk, ...] | None]:
+        """The best chunking of every row in row order under chunk log
+        weights, None for a row without a path; chunks names every chunk id
+        of finite weight, and copies share one tuple."""
+        result = []
+        for block in self._blocks:
+            paths = [None if path is None else tuple(chunks[c] for c in path)
+                     for path in block.best_paths(logs)]
+            result.extend(paths[r] for r in block.copies.tolist())
+        return result
+
 
 def _log_z(z: np.ndarray, z_exp: np.ndarray) -> float:
     """Sum of log(z * 2 ** z_exp) over the rows with z > 0."""
@@ -364,14 +422,19 @@ def _log_z(z: np.ndarray, z_exp: np.ndarray) -> float:
 class ChunkAligner:
     """EM-trained chunk probabilities and the Viterbi chunking they induce.
 
-    The first E pass weights every allowed chunk uniformly, so the initial
-    expected counts are pure path statistics; later passes reweight by the
-    current chunk distribution.
+    fit() compiles the chunk lattices of its pairs once and runs EM over
+    them. The first E pass weights every allowed chunk uniformly, so the
+    initial expected counts are pure path statistics; later passes reweight
+    by the current chunk distribution. viterbi() then reads the best
+    chunking of every pair off the same lattices, and releases them.
     """
 
-    def __init__(self, probs: dict[Chunk, float] | None = None):
-        self.probs: dict[Chunk, float] = dict(probs or {})
-        self._logs: dict[Chunk, float] | None = None
+    def __init__(self):
+        self.probs: dict[Chunk, float] = {}
+        # what viterbi() reads: the ratio check per pair, the lattices of
+        # the pairs that pass it, the log weight per chunk id, and the
+        # chunk of every kept id
+        self._fitted: tuple[list[bool], _Lattices, np.ndarray, dict[int, Chunk]] | None = None
 
     def fit(self, pairs: Sequence[tuple[tuple[str, ...], str]], iterations: int = 6,
             min_prob: float = 1e-12) -> dict[str, int | list[float]]:
@@ -380,8 +443,9 @@ class ChunkAligner:
         log z over the rows that table aligns."""
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
-        usable = [(tuple(segs), graph) for segs, graph in pairs
-                  if _ratio_ok(len(segs), len(graph))]
+        pairs = [(tuple(segs), graph) for segs, graph in pairs]
+        ok = [_ratio_ok(len(segs), len(graph)) for segs, graph in pairs]
+        usable = list(itertools.compress(pairs, ok))
         log_likelihood: list[float] = []
         stats = {"pairs": len(pairs), "ratio_skipped": len(pairs) - len(usable),
                  "unalignable": 0, "log_likelihood": log_likelihood}
@@ -405,61 +469,28 @@ class ChunkAligner:
             stats["unalignable"] = unalignable
         else:  # and that of the final table, by one more forward pass
             log_likelihood.append(lattices.log_likelihood(weights))
-        self.probs = {lattices.chunk(c): p for c, p in zip(kept.tolist(), weights[kept].tolist())}
-        self._logs = None
+        chunks = {c: lattices.chunk(c) for c in kept.tolist()}
+        probs = weights[kept].tolist()
+        self.probs = dict(zip(chunks.values(), probs))
+        logs = np.full(lattices.n_chunks, -math.inf)
+        # math.log, not np.log, whose rounding may differ
+        logs[kept] = [math.log(p) if p > 0.0 else -math.inf for p in probs]
+        self._fitted = (ok, lattices, logs, chunks)
         return stats
 
-    def _log_probs(self) -> dict[Chunk, float]:
-        if self._logs is None:
-            self._logs = {c: math.log(p) for c, p in self.probs.items() if p > 0.0}
-        return self._logs
-
-    def viterbi(self, segs: tuple[str, ...], graph: str) -> tuple[Chunk, ...]:
-        """Maximum-likelihood chunking; ties prefer smaller chunks, then the
-        lexicographically smaller chunk."""
-        m, n = len(segs), len(graph)
-        if not _ratio_ok(m, n):
-            raise AlignmentFailureError(
-                f"length ratio {m}:{n} exceeds {_MAX_RATIO}:1")
-        logs = self._log_probs()
-        neg_inf = -math.inf
-        score = [[neg_inf] * (n + 1) for _ in range(m + 1)]
-        back: list[list[tuple[int, int, Chunk] | None]] = [[None] * (n + 1) for _ in range(m + 1)]
-        score[0][0] = 0.0
-        for i in range(m + 1):
-            for j in range(n + 1):
-                base = score[i][j]
-                if base == neg_inf:
-                    continue
-                for p, g in _SHAPES:
-                    i2, j2 = i + p, j + g
-                    if i2 > m or j2 > n:
-                        continue
-                    chunk = (segs[i:i2], graph[j:j2])
-                    lw = logs.get(chunk)
-                    if lw is None:
-                        continue
-                    cand = base + lw
-                    cur = score[i2][j2]
-                    if cand > cur:
-                        score[i2][j2] = cand
-                        back[i2][j2] = (i, j, chunk)
-                    elif cand == cur and back[i2][j2] is not None:
-                        old = back[i2][j2][2]
-                        new_key = (p + g, p, chunk)
-                        old_key = (len(old[0]) + len(old[1]), len(old[0]), old)
-                        if new_key < old_key:
-                            back[i2][j2] = (i, j, chunk)
-        if score[m][n] == neg_inf:
-            raise AlignmentFailureError("no alignment path under current chunk table")
-        chunks: list[Chunk] = []
-        i, j = m, n
-        while (i, j) != (0, 0):
-            pi, pj, chunk = back[i][j]
-            chunks.append(chunk)
-            i, j = pi, pj
-        chunks.reverse()
-        return tuple(chunks)
+    def viterbi(self) -> list[tuple[Chunk, ...] | None]:
+        """The maximum-likelihood chunking under probs of every pair the
+        last fit() saw, in its order; None for a pair outside the length
+        ratio or without a path through the kept chunks. Ties are broken
+        cell by cell from the end back: of the equal-score chunks that end
+        at one lattice cell, the one with fewer symbols, then fewer
+        phonemes, wins. Releases the lattices, so it runs once per fit()."""
+        if self._fitted is None:
+            raise RuntimeError("viterbi() reads the lattices of a fit() not yet read")
+        ok, lattices, logs, chunks = self._fitted
+        self._fitted = None
+        chunkings = iter(lattices.best_chunkings(logs, chunks))
+        return [next(chunkings) if good else None for good in ok]
 
 
 def _check_order_discount(order: int, discount: float) -> None:
@@ -622,21 +653,11 @@ def train_tagged(
         raise EmptyLexiconError("cannot train on an empty example stream")
     # bad settings fail here, not after EM; fit itself rejects em_iterations < 1
     _check_order_discount(order, discount)
-    tagged = [(tag, tuple(seg.text for seg in ipa.segments), target)
-              for tag, ipa, target in rows]
     aligner = ChunkAligner()
-    stats = aligner.fit([(segs, graph) for _, segs, graph in tagged],
-                        iterations=em_iterations)
-
-    # one Viterbi chunking per distinct row, as chunk tokens; None where it has none
-    chunkings = dict.fromkeys((segs, graph) for _, segs, graph in tagged)
-    for segs, graph in chunkings:
-        try:
-            chunkings[segs, graph] = [_chunk_token(c) for c in aligner.viterbi(segs, graph)]
-        except AlignmentFailureError:
-            pass
-    streams = [[BOS] * (order - 1) + [_tag_token(tag), *chunkings[segs, graph], EOS]
-               for tag, segs, graph in tagged if chunkings[segs, graph] is not None]
+    stats = aligner.fit([(tuple(seg.text for seg in ipa.segments), target)
+                         for _, ipa, target in rows], iterations=em_iterations)
+    streams = [[BOS] * (order - 1) + [_tag_token(tag), *map(_chunk_token, chunks), EOS]
+               for (tag, _, _), chunks in zip(rows, aligner.viterbi()) if chunks is not None]
     if not streams:
         raise EmptyLexiconError("no entry could be aligned")
     tokens = sorted(set().union(*streams))
@@ -649,7 +670,7 @@ def train_tagged(
             for n in range(1, order + 1):
                 bucket = counts.setdefault(tuple(stream[t - n + 1:t]), {})
                 bucket[target] = bucket.get(target, 0) + 1
-    stats["alignment_failures"] = len(tagged) - len(streams)
+    stats["alignment_failures"] = len(rows) - len(streams)
     stats["trained_on"] = len(streams)
     return JointModel(order, discount, tokens, counts, stats)
 

@@ -326,6 +326,27 @@ def test_clean_removes_rows_without_three_fields(tmp_path):
     assert out.read_text(encoding="utf-8") == "de\tkatze\tkatsə\n"
 
 
+def test_clean_keeps_the_row_after_a_byte_order_mark(tmp_path):
+    raw = tmp_path / "raw.tsv"
+    raw.write_text("\ufeffde\tkat\tkat\nde\tgat\tgat\n", encoding="utf-8")
+    out = tmp_path / "clean.tsv"
+    report_path = tmp_path / "report.json"
+    assert run_cli(["clean", "--input", str(raw), "--output", str(out),
+                    "--report", str(report_path)]) == 0
+    assert json.loads(report_path.read_text(encoding="utf-8"))["removed_by_rule"] == {}
+    assert out.read_text(encoding="utf-8") == "de\tkat\tkat\nde\tgat\tgat\n"
+
+
+def test_mine_drops_the_byte_order_mark(tmp_path):
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("\ufeffde\tkat\tkat\nde\tgat\tkad\n", encoding="utf-8")
+    mined = tmp_path / "mined.tsv"
+    assert run_cli(["mine", "--input", str(lex), "--k", "1", "--threshold", "5",
+                    "--output", str(mined)]) == 0
+    rows = mined.read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split("\t")[:6] for row in rows] == [["de", "kat", "kat", "de", "gat", "kad"]]
+
+
 # exit codes and help
 
 def test_version_and_usage_exits(capsys):

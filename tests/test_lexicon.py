@@ -3,6 +3,9 @@ extraction."""
 
 from __future__ import annotations
 
+import io
+import sys
+
 import pytest
 
 from polyipa import (
@@ -22,7 +25,7 @@ from polyipa import (
 )
 from polyipa.errors import NoScriptError, UnknownLanguageError, UnknownSymbolError
 from polyipa.features import FeatureTable
-from polyipa.ipa import IpaInventory, NotationChart
+from polyipa.ipa import IpaInventory, NotationChart, _read_lines
 
 
 # language registry
@@ -203,6 +206,17 @@ def test_lexicon_read_tsv_names_the_line_of_a_bad_transcription(tmp_path):
     with pytest.raises(UnknownSymbolError, match=r"bad\.tsv: line 3: unknown symbol '@'") as err:
         Lexicon.read_tsv(path)
     assert err.value.position == 1
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, monkeypatch):
+    # a "#" header after the mark is still a comment, and the first row keeps its language
+    path = tmp_path / "bom.tsv"
+    path.write_text("\ufeff# lang\tgrapheme\tipa\nde\tkat\tkat\n", encoding="utf-8")
+    assert [(e.lang, e.grapheme) for e in Lexicon.read_tsv(path)] == [("de", "kat")]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeffde\tkat\tkat\n"))
+    assert _read_lines("-") == ["de\tkat\tkat"]
+    path.write_text("\ufeff\ufeffx\n", encoding="utf-8")  # only one mark is dropped
+    assert _read_lines(path) == ["\ufeffx"]
 
 
 # training tags

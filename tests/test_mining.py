@@ -1,4 +1,4 @@
-"""Nearest-neighbour index, soundalike mining, and generation filters."""
+"""Nearest-neighbour index, soundalike mining, and the mining files."""
 
 from __future__ import annotations
 
@@ -16,9 +16,6 @@ from polyipa import (
     VectorIndex,
     build_embedding_matrix,
     default_feature_table,
-    filter_by_feature_distance,
-    filter_generation_by_cer,
-    load_embeddings_tsv,
     mine_soundalikes,
     mining,
     parse_ipa,
@@ -26,13 +23,7 @@ from polyipa import (
     write_embeddings_tsv,
     write_pairs_tsv,
 )
-from polyipa.errors import (
-    BothEmptyError,
-    DimensionMismatchError,
-    EmptyOriginalError,
-    EmptyStringError,
-    UnknownSymbolError,
-)
+from polyipa.errors import DimensionMismatchError, EmptyStringError, UnknownSymbolError
 
 
 # vector index
@@ -211,33 +202,10 @@ def test_embeddings_tsv_roundtrip(tmp_path):
     matrix = build_embedding_matrix(entries)
     path = tmp_path / "emb.tsv"
     write_embeddings_tsv(path, matrix)
-    back = load_embeddings_tsv(path)
-    assert back.shape == matrix.shape
-    assert np.array_equal(back, matrix)
-
-
-def test_embeddings_loader_validates_ids(tmp_path):
-    path = tmp_path / "emb.tsv"
-    path.write_text("0\t0.0\t0.0\n2\t0.0\t0.0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"emb\.tsv: line 2: ids must be 0-based"):
-        load_embeddings_tsv(path)
-
-
-def test_embeddings_loader_rejects_ragged_rows(tmp_path):
-    path = tmp_path / "emb.tsv"
-    path.write_text("0\t0.0\t0.0\n1\t0.0\n", encoding="utf-8")
-    with pytest.raises(DimensionMismatchError, match=r"emb\.tsv: line 2: "):
-        load_embeddings_tsv(path)
-
-
-def test_embeddings_loader_names_the_line_of_a_bad_field(tmp_path):
-    path = tmp_path / "emb.tsv"
-    path.write_text("0\t1.0\t2.0\n1\tabc\t2.0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"emb\.tsv: line 2: could not convert .*'abc'"):
-        load_embeddings_tsv(path)
-    path.write_text("0\t1.0\t2.0\nx\t1.0\t2.0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"emb\.tsv: line 2: invalid literal for int"):
-        load_embeddings_tsv(path)
+    back = np.loadtxt(path, delimiter="\t", ndmin=2)
+    assert back.shape == (matrix.shape[0], 1 + matrix.shape[1])
+    assert np.array_equal(back[:, 0], np.arange(len(matrix)))  # 0-based row ids
+    assert np.array_equal(back[:, 1:], matrix)
 
 
 def test_pairs_tsv_roundtrip(tmp_path):
@@ -290,36 +258,3 @@ def test_pairs_tsv_names_the_line_of_a_bad_field(tmp_path):
     path.write_text(good + good.replace("kad\t1", "k@d\t1"), encoding="utf-8")
     with pytest.raises(UnknownSymbolError, match=r"pairs\.tsv: line 2: unknown symbol '@'"):
         read_pairs_tsv(path)
-
-
-# generation filters
-
-def test_cer_filter_keeps_boundary():
-    # 1 edit over 7 characters is under 0.15; 2 edits are over
-    assert filter_generation_by_cer("schmidt", "schmitt")
-    assert not filter_generation_by_cer("schmidt", "schnitt")
-    assert filter_generation_by_cer("ab", "axb", max_cer=0.5)  # exactly 0.5
-
-
-def test_cer_filter_rejects_empty_original():
-    with pytest.raises(EmptyOriginalError):
-        filter_generation_by_cer("", "kat")
-
-
-def test_feature_distance_filter_strict_bound():
-    # one feature differs between t and d, so the normalized distance over
-    # three segments is (1/22)/3, just above the 0.01 default
-    assert not filter_by_feature_distance(parse_ipa("kat"), parse_ipa("kad"))
-    assert filter_by_feature_distance(parse_ipa("kat"), parse_ipa("kat"))
-    assert filter_by_feature_distance(parse_ipa("kat"), parse_ipa("kad"),
-                                      max_distance=0.02)
-
-
-def test_feature_distance_filter_strips_marks():
-    # stress and length do not count against the distance
-    assert filter_by_feature_distance(parse_ipa("ˈkaːt"), parse_ipa("kat"))
-
-
-def test_feature_distance_filter_rejects_empty_pair():
-    with pytest.raises(BothEmptyError):
-        filter_by_feature_distance(parse_ipa("ˈ"), parse_ipa("ˌ"))

@@ -12,6 +12,7 @@ import random
 import pytest
 
 import _reference_em
+import _reference_viterbi
 import polyipa.model
 from _reference_decode import exhaustive_best
 from _synth import shallow_lexicon
@@ -30,7 +31,6 @@ from polyipa import (
     write_candidates_tsv,
 )
 from polyipa.errors import (
-    AlignmentFailureError,
     CandidateParseError,
     EmptyInputError,
     EmptyLexiconError,
@@ -55,13 +55,14 @@ def _identity_words(n, seed):
 # alignment
 
 def test_viterbi_prefers_likelier_chunking():
-    aligner = ChunkAligner({
+    probs = {
         (("k",), "k"): 0.5,
         (("a",), "a"): 0.25,
         (("t",), "t"): 0.25,
-    })
-    chunks = aligner.viterbi(("k", "a", "t"), "kat")
-    assert chunks == ((("k",), "k"), (("a",), "a"), (("t",), "t"))
+        (("k", "a"), "ka"): 0.01,
+    }
+    assert _reference_viterbi.chunkings(probs, [(("k", "a", "t"), "kat")]) == [
+        ((("k",), "k"), (("a",), "a"), (("t",), "t"))]
 
 
 def test_em_learns_digraph_chunk():
@@ -71,28 +72,55 @@ def test_em_learns_digraph_chunk():
                          for e in lex])
     assert stats["ratio_skipped"] == 0
     assert stats["unalignable"] == 0
-    entry = next(e for e in lex if "t͡ʃ" in e.ipa.text)
+    k, entry = next((k, e) for k, e in enumerate(lex) if "t͡ʃ" in e.ipa.text)
     segs = tuple(s.text for s in entry.ipa.segments)
-    chunks = aligner.viterbi(segs, entry.grapheme)
+    chunks = aligner.viterbi()[k]
     assert ((("t͡ʃ",), "ch")) in chunks
     assert tuple(s for phones, _ in chunks for s in phones) == segs
     assert "".join(letters for _, letters in chunks) == entry.grapheme
 
 
 def test_alignment_rejects_extreme_ratios():
-    aligner = ChunkAligner({(("a",), "a"): 1.0})
-    with pytest.raises(AlignmentFailureError):
-        aligner.viterbi(("a",), "aaaaa")  # 1:5
-    with pytest.raises(AlignmentFailureError):
-        aligner.viterbi((), "a")
-    with pytest.raises(AlignmentFailureError):
-        aligner.viterbi(("a",), "")
+    pairs = [(("a",), "a"), (("a",), "aaaaa"), ((), "a"), (("a",), "")]  # 1:5, 0:1, 1:0
+    aligner = ChunkAligner()
+    assert aligner.fit(pairs)["ratio_skipped"] == 3
+    assert aligner.viterbi() == [((("a",), "a"),), None, None, None]
+    assert _reference_viterbi.chunkings({(("a",), "a"): 1.0}, pairs) == \
+        [((("a",), "a"),), None, None, None]
 
 
 def test_alignment_fails_without_covering_chunks():
-    aligner = ChunkAligner({(("a",), "a"): 1.0})
-    with pytest.raises(AlignmentFailureError):
-        aligner.viterbi(("b",), "b")
+    assert _reference_viterbi.chunkings({(("a",), "a"): 1.0}, [(("b",), "b")]) == [None]
+    # one rare row among 600 copies: min_prob prunes all its chunks
+    pairs = [(("a",), "a")] * 600 + [(("x",), "q")]
+    aligner = ChunkAligner()
+    assert aligner.fit(pairs, iterations=1, min_prob=1e-3)["unalignable"] == 0
+    assert set(aligner.probs) == {(("a",), "a"), (("a",), ""), ((), "a")}
+    chunkings = aligner.viterbi()
+    assert chunkings[0] == ((("a",), "a"),)
+    assert chunkings[-1] is None
+
+
+def test_viterbi_breaks_exact_ties_by_chunk_shape():
+    # a+a and a~a tie exactly: 0.0 + log p(a:a) + log p(:a) in either order;
+    # the edge of shape 0:1 into the final cell outranks the one of shape 1:1
+    aligner = ChunkAligner()
+    aligner.fit([(("a",), "aa")], iterations=6)
+    first = math.log(aligner.probs[(("a",), "a")]) + math.log(aligner.probs[((), "a")])
+    second = math.log(aligner.probs[((), "a")]) + math.log(aligner.probs[(("a",), "a")])
+    assert first == second
+    assert aligner.viterbi() == [((("a",), "a"), ((), "a"))]
+
+
+def test_viterbi_reads_each_fit_once():
+    aligner = ChunkAligner()
+    with pytest.raises(RuntimeError):
+        aligner.viterbi()
+    aligner.fit([(("a",), "a")])
+    assert aligner.viterbi() == [((("a",), "a"),)]
+    assert aligner._fitted is None  # the lattices are released
+    with pytest.raises(RuntimeError):
+        aligner.viterbi()
 
 
 def test_fit_counts_ratio_skips():
@@ -179,6 +207,37 @@ def test_fit_matches_reference_em_across_blocks(monkeypatch, block_rows):
     _assert_matches_reference(rows, iterations=3, min_prob=1e-3)
 
 
+def _assert_viterbi_matches_reference(pairs, **kwargs):
+    aligner = ChunkAligner()
+    aligner.fit(pairs, **kwargs)
+    chunkings = aligner.viterbi()
+    assert chunkings == _reference_viterbi.chunkings(aligner.probs, pairs)
+    return chunkings
+
+
+def test_viterbi_matches_reference():
+    chunkings = _assert_viterbi_matches_reference(_pairs(shallow_lexicon(300, seed=21)))
+    assert None not in chunkings
+
+
+@pytest.mark.parametrize("kwargs, unaligned", [({}, 4), ({"min_prob": 1e-3}, 6),
+                                               ({"iterations": 1}, 4),
+                                               ({"iterations": 1, "min_prob": 1e-3}, 5)])
+def test_viterbi_matches_reference_on_mixed_stream(kwargs, unaligned):
+    chunkings = _assert_viterbi_matches_reference(_mixed_stream(), **kwargs)
+    # the 4 ratio-skipped rows, and with pruning the rows whose only chunk went
+    assert chunkings.count(None) == unaligned
+
+
+@pytest.mark.parametrize("block_rows", [5, 64])
+def test_viterbi_matches_reference_across_blocks(monkeypatch, block_rows):
+    base = _pairs(shallow_lexicon(40, seed=5))
+    rows = [row for k, row in enumerate(base) for _ in range(1 + k % 3)] + _mixed_stream()
+    monkeypatch.setattr(polyipa.model, "_BLOCK_ROWS", block_rows)
+    _assert_viterbi_matches_reference(rows)
+    _assert_viterbi_matches_reference(rows, iterations=3, min_prob=1e-3)
+
+
 def test_fit_does_not_underflow_on_a_long_row():
     pairs = _pairs(shallow_lexicon(300, seed=21))
     segs = tuple(s for row, _ in pairs[:70] for s in row)
@@ -189,7 +248,7 @@ def test_fit_does_not_underflow_on_a_long_row():
     assert stats["unalignable"] == 0
     assert all(math.isfinite(v) for v in stats["log_likelihood"])
     assert all(math.isfinite(p) and p > 0.0 for p in aligner.probs.values())
-    chunks = aligner.viterbi(segs, graph)
+    chunks = aligner.viterbi()[-1]
     assert tuple(s for phones, _ in chunks for s in phones) == segs
     assert "".join(letters for _, letters in chunks) == graph
 
