@@ -36,18 +36,33 @@ __all__ = [
 ]
 
 
+# Working memory of one block of kNN queries: a block has as many query rows
+# as fit one float64 per (query row, index row) in this budget, its other
+# temporaries are a few arrays of that size, and the exact distances are
+# taken in chunks of as many pairs as fit one float64 per dimension.
+_KNN_BLOCK_BYTES = 1 << 17
+
+
 class VectorIndex:
     """Exact nearest-neighbour queries over a fixed embedding matrix.
 
     Distances are Euclidean; ties are broken by row order (stable sort), so
-    query results are deterministic for a fixed matrix.
+    query results are deterministic for a fixed matrix. The index keeps its
+    own read-only copy of the matrix.
     """
 
     def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.array(matrix, dtype=np.float64, order="C")
         if matrix.ndim != 2:
             raise DimensionMismatchError(f"expected a 2-d matrix, got {matrix.ndim}-d")
+        if not np.isfinite(matrix).all():
+            raise ValueError("index matrix has non-finite values")
+        matrix.flags.writeable = False
         self.matrix = matrix
+        self._sq_norms = np.einsum("ij,ij->i", matrix, matrix)
+        self._max_norm = float(np.sqrt(self._sq_norms.max())) if len(matrix) else 0.0
+        # query_row's last block: ((k, first row, end row), rows, distances)
+        self._block: tuple[tuple[int, int, int], np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
@@ -56,29 +71,93 @@ class VectorIndex:
     def dims(self) -> int:
         return self.matrix.shape[1]
 
-    def query(self, vector: np.ndarray, k: int) -> list[tuple[int, float]]:
-        """k nearest rows to vector as (row index, distance), nearest first."""
+    def _nearest(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The k nearest rows to each query row, as (rows, distances) arrays
+        of shape (len(queries), min(k, len(self))), each line ordered by
+        (distance, row): the first k of a stable sort of the distances.
+
+        For k < n, one matrix product screens the squared distances
+        |q|^2 + |m|^2 - 2 q.m and keeps every row within a rounding margin of
+        each query's k-th screened value. Both the screened value and the
+        exact distance are within delta of the true squared distance, where
+        delta = gamma_{D+4} (|q| + max|m|)^2, so the true first k are all
+        within 2 delta of the k-th screened value. The kept rows then get the
+        exact distance, norm(m - q), in the same floats as a full scan.
+        """
+        n, dims = self.matrix.shape
+        b = len(queries)
+        width = min(k, n)
+        if width == 0:
+            return np.empty((b, 0), dtype=np.intp), np.empty((b, 0))
+        q_sq = np.einsum("ij,ij->i", queries, queries)
+        # twice the margin of the docstring, plus an absolute term for
+        # underflow; where it overflows, the screen is skipped
+        with np.errstate(over="ignore"):
+            slack = 4 * (dims + 4) * (np.finfo(np.float64).eps
+                                      * (np.sqrt(q_sq) + self._max_norm) ** 2 + 2.0 ** -1070)
+        if k < n and np.isfinite(slack).all():
+            screen = queries @ self.matrix.T
+            screen *= -2.0
+            screen += q_sq[:, None]
+            screen += self._sq_norms
+            kth = np.partition(screen, k - 1, axis=1)[:, k - 1]
+            qi, rows = np.nonzero(screen <= (kth + slack)[:, None])
+        else:
+            qi = np.repeat(np.arange(b), n)
+            rows = np.tile(np.arange(n), b)
+        dists = np.empty(len(rows))
+        step = max(1, _KNN_BLOCK_BYTES // (8 * max(1, dims)))
+        for s in range(0, len(rows), step):
+            dists[s:s + step] = np.linalg.norm(
+                self.matrix[rows[s:s + step]] - queries[qi[s:s + step]], axis=1)
+        order = np.lexsort((rows, dists, qi))
+        qi, rows, dists = qi[order], rows[order], dists[order]
+        rank = np.arange(len(qi)) - np.searchsorted(qi, qi)
+        first = rank < width
+        return rows[first].reshape(b, width), dists[first].reshape(b, width)
+
+    def _check_k(self, k: int) -> None:
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
+
+    def query(self, vector: np.ndarray, k: int) -> list[tuple[int, float]]:
+        """k nearest rows to vector as (row index, distance), nearest first."""
+        self._check_k(k)
         vector = np.asarray(vector, dtype=np.float64)
         if vector.shape != (self.dims,):
             raise DimensionMismatchError(
                 f"query has shape {vector.shape}, index rows have {self.dims}")
-        dists = np.linalg.norm(self.matrix - vector, axis=1)
-        if 0 < k < len(dists):
-            # only rows at or under the k-th smallest distance can be in the
-            # first k of the full stable sort, and they keep its order
-            kth = np.partition(dists, k - 1)[k - 1]
-            near = np.flatnonzero(dists <= kth)
-            order = near[np.argsort(dists[near], kind="stable")][:k]
-        else:
-            order = np.argsort(dists, kind="stable")[:k]
-        return [(int(i), float(dists[i])) for i in order]
+        if not np.isfinite(vector).all():
+            raise ValueError("query has non-finite values")
+        rows, dists = self._nearest(vector[None, :], k)
+        return list(zip(rows[0].tolist(), dists[0].tolist()))
 
     def query_row(self, row: int, k: int) -> list[tuple[int, float]]:
-        """k nearest rows to the stored row, the row itself excluded."""
-        hits = self.query(self.matrix[row], k + 1)
-        return [(i, d) for i, d in hits if i != row][:k]
+        """k nearest rows to the stored row, the row itself excluded.
+
+        Rows are answered a block at a time: a call computes the hits of every
+        row in its block, and later calls with the same k for rows of that
+        block read them, so asking for rows in order costs one block query
+        per block."""
+        self._check_k(k)
+        n = len(self)
+        if not 0 <= row < n:
+            raise IndexError(f"row {row} is out of range for an index of {n} rows")
+        size = max(1, _KNN_BLOCK_BYTES // (8 * n))
+        lo = row - row % size
+        hi = min(n, lo + size)
+        block = self._block
+        if block is None or block[0] != (k, lo, hi):
+            rows, dists = self._nearest(self.matrix[lo:hi], k + 1)
+            # drop each line's own row, or its last hit where the row is not
+            # among the k + 1 nearest
+            keep = rows != np.arange(lo, hi)[:, None]
+            keep &= np.cumsum(keep, axis=1) < rows.shape[1]
+            shape = (hi - lo, rows.shape[1] - 1)
+            block = self._block = ((k, lo, hi), rows[keep].reshape(shape),
+                                   dists[keep].reshape(shape))
+        _, rows, dists = block
+        return list(zip(rows[row - lo].tolist(), dists[row - lo].tolist()))
 
 
 @dataclass(frozen=True)

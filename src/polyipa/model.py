@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -576,7 +577,10 @@ class JointModel:
         """Write the model as one JSON document: the token table, then the
         n-grams as sorted [context id..., token id, count] rows. json writes
         floats by their shortest round-trip repr, so a load() round trip is
-        bit-exact, and sorting keeps retraining byte-identical."""
+        bit-exact, and sorting keeps retraining byte-identical.
+
+        The document goes to a temporary file next to path, which then
+        replaces path, so a failed save leaves any earlier file as it was."""
         doc = {
             "format": _FORMAT,
             "version": _VERSION,
@@ -586,8 +590,16 @@ class JointModel:
             "ngrams": sorted([*ctx, tok, cnt] for ctx, bucket in self.counts.items()
                              for tok, cnt in bucket.items()),
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, ensure_ascii=False))
+        path = os.fspath(path)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(doc, ensure_ascii=False))
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "JointModel":

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import _reference_knn
 from _reference_dp import encode, two_row_distance
 from polyipa import (
     DistanceParams,
@@ -64,6 +66,125 @@ def test_query_row_excludes_self():
     hits = index.query_row(1, k=2)
     assert [i for i, _ in hits] == [0, 2]
     assert hits[0][1] == 0.0  # duplicate row, distance zero but not itself
+
+
+def test_query_row_rejects_bad_arguments():
+    index = VectorIndex(np.array([[1.0], [1.0], [5.0]]))
+    # a negative row would otherwise be read from the end and not excluded
+    with pytest.raises(IndexError, match="row -1 is out of range for an index of 3 rows"):
+        index.query_row(-1, 1)
+    with pytest.raises(IndexError, match="row 3 is out of range"):
+        index.query_row(3, 1)
+    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+        index.query_row(0, -1)
+    with pytest.raises(ValueError, match="k must be >= 0, got -2"):
+        index.query_row(0, -2)
+
+
+def test_index_keeps_its_own_matrix():
+    matrix = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 4.0]])
+    index = VectorIndex(matrix)
+    rows = [index.query_row(row, 2) for row in range(3)]
+    near = index.query(np.zeros(2), 3)
+    matrix[:] = [[9.0, 9.0], [0.0, 0.0], [1.0, 1.0]]
+    assert [index.query_row(row, 2) for row in range(3)] == rows
+    assert index.query(np.zeros(2), 3) == near
+    with pytest.raises(ValueError):
+        index.matrix[0, 0] = 1.0
+
+
+def test_index_rejects_non_finite_values():
+    with pytest.raises(ValueError, match="non-finite"):
+        VectorIndex(np.array([[0.0], [np.nan]]))
+    index = VectorIndex(np.array([[0.0], [1.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        index.query(np.array([np.inf]), 1)
+
+
+def _anagram_matrix():
+    # anagrams average the same segment vectors, so they embed identically
+    words = ["kat", "tak", "akt", "sont", "tons", "nost", "pel", "lep", "ba", "ab",
+             "mira", "rima", "amir", "dus", "sud", "ke", "ek", "lopi", "pilo", "z"]
+    entries = [PronEntry("de", w, parse_ipa(w)) for w in words]
+    return build_embedding_matrix(entries + _entries(30, seed=13))
+
+
+def _ulp_matrix():
+    # coordinates a few ulps apart, at a scale where the screen's
+    # |q|^2 + |m|^2 - 2 q.m cancels far more than an ulp
+    rng = np.random.default_rng(14)
+    base = 1000.0 * rng.random(6)
+    rows = []
+    for i in range(40):
+        row = base.copy()
+        for _ in range(i % 7):
+            row[i % 6] = np.nextafter(row[i % 6], np.inf)
+        rows.append(row)
+    rows += [base + 1e-9 * rng.integers(0, 3, size=6) for _ in range(10)]
+    return np.array(rows)
+
+
+def _knn_matrices():
+    rng = np.random.default_rng(12)
+    return {
+        "duplicate-rows": rng.permutation(np.repeat(rng.random((9, 4)), 5, axis=0)),
+        "small-integers": rng.integers(0, 3, size=(48, 3)).astype(np.float64),
+        "anagram-embeddings": _anagram_matrix(),
+        "ulp-apart": _ulp_matrix(),
+    }
+
+
+def _access_orders(n, ks):
+    """(row, k) call sequences: rows forward, reversed, shuffled, and forward
+    with k alternating between two values."""
+    rows = list(range(n))
+    shuffled = random.Random(15).sample(rows, n)
+    for k in ks:
+        yield [(r, k) for r in rows]
+        yield [(r, k) for r in reversed(rows)]
+        yield [(r, k) for r in shuffled]
+    for a, b in zip(ks, ks[1:]):
+        yield [(r, (a, b)[r % 2]) for r in rows]
+
+
+@pytest.mark.parametrize("budget", ["one-row", "default", "whole-matrix"])
+@pytest.mark.parametrize("kind", ["duplicate-rows", "small-integers", "anagram-embeddings",
+                                  "ulp-apart"])
+def test_queries_equal_the_full_scan(kind, budget, monkeypatch):
+    matrix = _knn_matrices()[kind]
+    n = len(matrix)
+    if budget == "one-row":
+        monkeypatch.setattr(mining, "_KNN_BLOCK_BYTES", 8)
+    elif budget == "whole-matrix":
+        monkeypatch.setattr(mining, "_KNN_BLOCK_BYTES", 8 * n * n * matrix.shape[1])
+    ks = [0, 1, 5, n - 2, n - 1, n, n + 3]
+    index = VectorIndex(matrix)
+    probes = [*matrix[::5], *(matrix[::9] + 1e-3), np.zeros(matrix.shape[1])]
+    for k in ks:
+        for vector in probes:
+            assert index.query(vector, k) == _reference_knn.query(matrix, vector, k)
+    for calls in _access_orders(n, ks):
+        for row, k in calls:
+            assert index.query_row(row, k) == _reference_knn.query_row(matrix, row, k), (row, k)
+
+
+def test_block_budget_bounds_the_temporaries(monkeypatch):
+    rng = np.random.default_rng(16)
+    matrix = rng.integers(0, 4, size=(3000, 200)).astype(np.float64)
+    monkeypatch.setattr(mining, "_KNN_BLOCK_BYTES", 4096)
+    index = VectorIndex(matrix)
+    for k in (10, len(matrix)):
+        for row in (0, 2999):
+            tracemalloc.start()
+            try:
+                got = index.query_row(row, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == _reference_knn.query_row(matrix, row, k)
+            # one row's hits and candidates; a gathered (candidates x dims)
+            # difference array alone would take matrix.nbytes
+            assert peak < matrix.nbytes / 4, (k, row, peak)
 
 
 def test_index_dimension_checks():

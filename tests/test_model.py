@@ -435,6 +435,20 @@ def test_save_load_preserves_decoding(tmp_path):
             [(c.grapheme, c.log_score, c.beam_rank) for c in b]
 
 
+def test_failed_save_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "m.model"
+    train(shallow_lexicon(40, seed=30), order=2).save(path)
+    before = path.read_bytes()
+    # a lone surrogate cannot be written as UTF-8, so the write fails after
+    # the output file was opened
+    lex = Lexicon(list(shallow_lexicon(40, seed=30))
+                  + [PronEntry("eo", "pa\ud800to", parse_ipa("pato"))])
+    with pytest.raises(UnicodeEncodeError):
+        train(lex, order=2).save(path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("order", [1, 3])
 def test_token_table_holds_exactly_the_trained_tokens(order):
     model = train(shallow_lexicon(60, seed=31), order=order)
