@@ -1,6 +1,6 @@
 """Cleaning a raw pronunciation lexicon: bad rows out, report in."""
 
-from polyipa import clean
+from polyipa import clean, detect_script
 
 # raw rows are (lang, grapheme, ipa); several are deliberately broken
 raw = [
@@ -26,7 +26,7 @@ print(f"conserved: {report.conserved}")
 
 print("\nkept entries:")
 for e in lexicon.entries:
-    print(f"  {e.lang} {e.script} {e.grapheme!r} /{e.ipa.text}/")
+    print(f"  {e.lang} {detect_script(e.grapheme)} {e.grapheme!r} /{e.ipa.text}/")
 
 # the report serializes for pipeline logs
 print("\nreport json:")

@@ -26,7 +26,7 @@ print(f"exact_match('grün', 'grün')    = {exact_match('grün', 'grün')}")
 
 
 def item(lang, ipa, reference, *graphemes):
-    cands = tuple(Candidate(g, -0.5 * i, i + 1) for i, g in enumerate(graphemes))
+    cands = tuple(Candidate(g, -0.5 * i) for i, g in enumerate(graphemes))
     return EvalItem(lang, f"<{lang}>", parse_ipa(ipa), reference, cands)
 
 

@@ -22,7 +22,7 @@ words = [
     ("pilo", "pilo"),
     ("bilo", "bilo"),     # near pilo
 ]
-entries = [PronEntry("de", g, parse_ipa(ipa), "Latn") for g, ipa in words]
+entries = [PronEntry("de", g, parse_ipa(ipa)) for g, ipa in words]
 
 # stage 1: mean-feature embeddings into a brute-force nearest index
 matrix = build_embedding_matrix(entries)

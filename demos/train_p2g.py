@@ -33,7 +33,7 @@ seen = {}
 while len(seen) < 600:
     ipa, spelling = make_word(rng)
     seen.setdefault(ipa, spelling)
-entries = [PronEntry("eo", spelling, parse_ipa(ipa), "Latn")
+entries = [PronEntry("eo", spelling, parse_ipa(ipa))
            for ipa, spelling in sorted(seen.items())]
 
 train_lex, eval_lex, test_lex = stratified_split(
@@ -59,7 +59,7 @@ ambiguous = []
 for i, (ipa, spelling) in enumerate(sorted(seen.items())):
     if "k" in ipa and i % 3 == 0:
         spelling = spelling.replace("k", "c")
-    ambiguous.append(PronEntry("eo", spelling, parse_ipa(ipa), "Latn"))
+    ambiguous.append(PronEntry("eo", spelling, parse_ipa(ipa)))
 model2 = train(Lexicon(ambiguous), order=5, em_iterations=6)
 
 probe = parse_ipa("kato")

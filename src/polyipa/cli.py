@@ -18,7 +18,14 @@ from pathlib import Path
 from . import __version__
 from .config import KEYS, PipelineConfig, Resources, load as load_config
 from .errors import PolyipaError
-from .ipa import _parse_rows, _read_lines, convert_to_ipa, parse_ipa, strip_diacritics_tones
+from .ipa import (
+    _parse_rows,
+    _read_lines,
+    _write_rows,
+    convert_to_ipa,
+    parse_ipa,
+    strip_diacritics_tones,
+)
 from .lexicon import Lexicon, clean, extract_ipa_pairs, lang_script_tag, read_raw_tsv
 from .metrics import EvalItem, report_from_json, stratify
 from .mining import (
@@ -55,14 +62,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    text = "".join(line + "\n" for line in lines)
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
 class _StdinText:
     """stdin read once, passed to readers in place of the path "-": train
     and predict read their input twice, to count columns and to parse it."""
@@ -85,6 +84,11 @@ def _first_data_columns(path) -> int:
     return next(_parse_rows(path, lambda *fields: len(fields)), 0)
 
 
+def _summary(line: str, *outputs: str | None) -> None:
+    """Print a summary line, to stderr when a data output is stdout ("-")."""
+    print(line, file=sys.stderr if "-" in outputs else sys.stdout)
+
+
 def cmd_clean(args, cfg: PipelineConfig, res: Resources) -> int:
     rows = read_raw_tsv(args.input)
     lex, report = clean(rows, res.inventory, res.registry, res.scripts)
@@ -92,44 +96,37 @@ def cmd_clean(args, cfg: PipelineConfig, res: Resources) -> int:
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
     removed = report.input_count - report.retained_count
-    print(f"clean: {report.input_count} rows in, {report.retained_count} kept, "
-          f"{removed} removed")
+    _summary(f"clean: {report.input_count} rows in, {report.retained_count} kept, "
+             f"{removed} removed", args.output)
     return 0
 
 
+def _map_lines(args, convert) -> None:
+    """Write convert(line) for every line of --input to --output, and an
+    empty line for a blank one; nothing is written if a line fails."""
+    _write_rows(args.output, [(convert(line) if line.strip() else "",)
+                              for line in _read_lines(args.input)])
+
+
 def cmd_convert(args, cfg: PipelineConfig, res: Resources) -> int:
-    charts = {"xsampa": res.xsampa, "arpabet": res.arpabet, "ipa": None}
-    out: list[str] = []
-    for line in _read_lines(args.input):
-        if not line.strip():
-            out.append("")
-            continue
-        s = convert_to_ipa(args.system, line, inventory=res.inventory,
-                           chart=charts[args.system])
-        out.append(s.text)
-    _write_lines(args.output, out)
+    chart = {"xsampa": res.xsampa, "arpabet": res.arpabet, "ipa": None}[args.system]
+    _map_lines(args, lambda line: convert_to_ipa(args.system, line, inventory=res.inventory,
+                                                 chart=chart).text)
     return 0
 
 
 def cmd_strip(args, cfg: PipelineConfig, res: Resources) -> int:
-    out: list[str] = []
-    for line in _read_lines(args.input):
-        if not line.strip():
-            out.append("")
-            continue
-        s = parse_ipa(line, res.inventory)
-        out.append(strip_diacritics_tones(s, inventory=res.inventory).text)
-    _write_lines(args.output, out)
+    _map_lines(args, lambda line: strip_diacritics_tones(parse_ipa(line, res.inventory),
+                                                         inventory=res.inventory).text)
     return 0
 
 
 def cmd_pairs(args, cfg: PipelineConfig, res: Resources) -> int:
     lex = Lexicon.read_tsv(args.input, res.inventory)
     pairs = extract_ipa_pairs(lex)
-    lines = ["# lang\tgrapheme\tipa_a\tipa_b"]
-    lines += [f"{p.lang}\t{p.grapheme}\t{p.ipa_a.text}\t{p.ipa_b.text}" for p in pairs]
-    _write_lines(args.output, lines)
-    print(f"pairs: {len(pairs)} ordered pronunciation pairs")
+    _write_rows(args.output, ((p.lang, p.grapheme, p.ipa_a.text, p.ipa_b.text) for p in pairs),
+                ("lang", "grapheme", "ipa_a", "ipa_b"))
+    _summary(f"pairs: {len(pairs)} ordered pronunciation pairs", args.output)
     return 0
 
 
@@ -140,8 +137,8 @@ def cmd_mine(args, cfg: PipelineConfig, res: Resources) -> int:
         write_embeddings_tsv(args.embeddings, build_embedding_matrix(entries, res.features))
     pairs = mine_soundalikes(entries, cfg.mining, table=res.features)
     write_pairs_tsv(args.output, entries, pairs)
-    print(f"mine: {len(pairs)} pairs at threshold {cfg.mining.threshold} from "
-          f"{len(entries)} entries")
+    _summary(f"mine: {len(pairs)} pairs at threshold {cfg.mining.threshold} from "
+             f"{len(entries)} entries", args.output, args.embeddings)
     return 0
 
 
@@ -167,7 +164,7 @@ def cmd_augment(args, cfg: PipelineConfig, res: Resources) -> int:
                                scripts=res.scripts, inventory=res.inventory,
                                counters=counters)
     write_examples_tsv(args.out, stream)
-    print("augment: " + ", ".join(f"{k}={counters[k]}" for k in sorted(counters)))
+    _summary("augment: " + ", ".join(f"{k}={counters[k]}" for k in sorted(counters)), args.out)
     return 0
 
 
@@ -214,9 +211,9 @@ def cmd_predict(args, cfg: PipelineConfig, res: Resources) -> int:
     write_candidates_tsv(args.output, blocks)
     if empty:
         print(f"warning: {empty} inputs decoded to no candidates", file=sys.stderr)
-    print(f"predict: {len(queries)} inputs, n_best {cfg.n_best}, "
-          f"beam width {effective_beam_width(cfg.n_best, cfg.beam_width)}, "
-          f"{empty} without candidates")
+    _summary(f"predict: {len(queries)} inputs, n_best {cfg.n_best}, "
+             f"beam width {effective_beam_width(cfg.n_best, cfg.beam_width)}, "
+             f"{empty} without candidates", args.output)
     return 0
 
 

@@ -9,6 +9,7 @@ segments' text reproduces the input exactly.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import sys
@@ -191,8 +192,10 @@ def _parse_rows(path, parse: Callable, columns: int | None = None, expected: str
 
 def _write_rows(path, rows: Iterable[Iterable[str]], header: Iterable[str] | None = None) -> None:
     """Write each row's fields tab-separated, one row per line, after a
-    "# name<TAB>name..." comment line when header names the columns."""
-    with open(path, "w", encoding="utf-8") as fh:
+    "# name<TAB>name..." comment line when header names the columns, to a
+    UTF-8 file, or to stdout when path is "-"."""
+    out = contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
+    with out as fh:
         if header is not None:
             fh.write("# " + "\t".join(header) + "\n")
         for row in rows:

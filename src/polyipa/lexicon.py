@@ -48,16 +48,16 @@ _LANG_RE = re.compile(r"^[a-z]{2,3}$")
 
 @dataclass(frozen=True)
 class PronEntry:
-    """One cleaned lexicon row. script is filled in by clean() when known."""
+    """One cleaned lexicon row; its script is that of its grapheme."""
 
     lang: str
     grapheme: str
     ipa: IpaString
-    script: str | None = None
 
     @property
-    def key(self) -> tuple[str, str, str, str]:
-        return (self.lang, self.script or "", self.grapheme, self.ipa.text)
+    def key(self) -> tuple[str, str, str]:
+        """The (lang, grapheme, ipa) row a lexicon TSV holds."""
+        return (self.lang, self.grapheme, self.ipa.text)
 
 
 class LanguageRegistry:
@@ -208,7 +208,7 @@ class Lexicon:
 
     def __init__(self, entries: Iterable[PronEntry]):
         self.entries: list[PronEntry] = []
-        self._keys: set[tuple[str, str, str, str]] = set()
+        self._keys: set[tuple[str, str, str]] = set()
         for e in entries:
             if e.key in self._keys:
                 continue
@@ -230,7 +230,7 @@ class Lexicon:
                                3, "lang<TAB>grapheme<TAB>ipa"))
 
     def write_tsv(self, path) -> None:
-        _write_rows(path, ((e.lang, e.grapheme, e.ipa.text) for e in self.entries))
+        _write_rows(path, (e.key for e in self.entries))
 
 
 @dataclass
@@ -290,7 +290,7 @@ def clean(
     registry = registry or default_registry()
     scripts = scripts or default_scripts()
     report = CleaningReport()
-    kept: dict[tuple[str, str, str, str], PronEntry] = {}
+    kept: dict[tuple[str, str, str], PronEntry] = {}
 
     for fields in rows:
         report.input_count += 1
@@ -331,7 +331,7 @@ def clean(
         if official is not None and script not in official:
             report.remove("script-mismatch")
             continue
-        entry = PronEntry(lang, grapheme, ipa, script)
+        entry = PronEntry(lang, grapheme, ipa)
         if entry.key in kept:
             report.remove("duplicate")
             continue
@@ -343,12 +343,11 @@ def clean(
 
 def lang_script_tag(entry: PronEntry, scripts: ScriptTable | None = None) -> str:
     """Training tag: <lang> for single-script languages, <lang_Script> for
-    multi-script ones (script detected from the grapheme when unset)."""
+    multi-script ones, with the script detected from the grapheme."""
     scripts = scripts or default_scripts()
     if not scripts.is_multi_script(entry.lang):
         return f"<{entry.lang}>"
-    script = entry.script or detect_script(entry.grapheme)
-    return f"<{entry.lang}_{script}>"
+    return f"<{entry.lang}_{detect_script(entry.grapheme)}>"
 
 
 @dataclass(frozen=True)
@@ -363,19 +362,11 @@ class IpaPair:
 
 def extract_ipa_pairs(lexicon: Lexicon) -> list[IpaPair]:
     """All n(n-1) ordered pairs of distinct pronunciations per (lang,
-    grapheme) group, script variants merged. Deterministic: groups and
-    members keep first-seen order."""
+    grapheme) group; a Lexicon holds each row once, so the pronunciations of
+    a group are distinct. Deterministic: groups and members keep first-seen
+    order."""
     groups: dict[tuple[str, str], list[IpaString]] = {}
     for e in lexicon:
-        bucket = groups.setdefault((e.lang, e.grapheme), [])
-        if all(e.ipa.text != seen.text for seen in bucket):
-            bucket.append(e.ipa)
-    pairs: list[IpaPair] = []
-    for (lang, grapheme), prons in groups.items():
-        if len(prons) < 2:
-            continue
-        for a in prons:
-            for b in prons:
-                if a.text != b.text:
-                    pairs.append(IpaPair(lang, grapheme, a, b))
-    return pairs
+        groups.setdefault((e.lang, e.grapheme), []).append(e.ipa)
+    return [IpaPair(lang, grapheme, a, b) for (lang, grapheme), prons in groups.items()
+            for a in prons for b in prons if a.text != b.text]

@@ -232,7 +232,7 @@ def mine_soundalikes(
                            distance.delete_cost, params.threshold)
     pairs = list(zip(*(column.tolist() for column in kept)))
     if params.exclude_existing:
-        known = {(e.lang, e.grapheme, e.ipa.text) for e in entries}
+        known = {e.key for e in entries}
         pairs = [(i, j, d) for i, j, d in pairs
                  if (entries[i].lang, entries[i].grapheme, entries[j].ipa.text) not in known
                  and (entries[j].lang, entries[j].grapheme, entries[i].ipa.text) not in known]
@@ -246,7 +246,7 @@ def write_pairs_tsv(path, entries: Sequence[PronEntry],
                     pairs: Sequence[tuple[int, int, float]]) -> None:
     """One row per mined (i, j, distance): entry i's lang, grapheme and ipa,
     then entry j's, then the distance."""
-    sides = [(e.lang, e.grapheme, e.ipa.text) for e in entries]
+    sides = [e.key for e in entries]
     _write_rows(path, ((*sides[i], *sides[j], repr(d)) for i, j, d in pairs), _PAIR_COLUMNS)
 
 

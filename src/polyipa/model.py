@@ -78,7 +78,6 @@ def _chunk_token(chunk: Chunk) -> Token:
 class Candidate:
     grapheme: str
     log_score: float
-    beam_rank: int
 
 
 def _ratio_ok(m: int, n: int) -> bool:
@@ -379,12 +378,12 @@ class _Lattices:
 
     def expected_counts(self, weights: np.ndarray):
         """One E step under chunk weights: (expected count per chunk id, the
-        chunk ids in order of their first positive posterior, rows without
-        a path, sum of log z over the other rows)."""
+        chunk ids in order of their first positive posterior, sum of log z
+        over the rows with a path)."""
         counts = np.zeros(self.n_chunks)
         never = np.iinfo(np.int64).max
         first = np.full(self.n_chunks, never)
-        edges = unalignable = 0
+        edges = 0
         log_z = []
         for block in self._blocks:
             cid, post, z, z_exp = block.posteriors(weights)
@@ -392,14 +391,19 @@ class _Lattices:
             positive = np.flatnonzero(post > 0.0)
             np.minimum.at(first, cid[positive], edges + positive)
             edges += len(post)
-            unalignable += int(np.count_nonzero(z <= 0.0))
             log_z.append(_log_z(z, z_exp))
         order = np.argsort(first)[:np.count_nonzero(first < never)]
-        return counts, order, unalignable, sum(log_z)
+        return counts, order, sum(log_z)
 
-    def log_likelihood(self, weights: np.ndarray) -> float:
-        """Sum of log z over the rows with a path under chunk weights."""
-        return sum(_log_z(*block.z(weights)) for block in self._blocks)
+    def log_likelihood(self, weights: np.ndarray) -> tuple[float, int]:
+        """Sum of log z over the rows with a path under chunk weights, and
+        the number of rows without one."""
+        log_z = unalignable = 0
+        for block in self._blocks:
+            z, z_exp = block.z(weights)
+            log_z += _log_z(z, z_exp)
+            unalignable += int(np.count_nonzero(z <= 0.0))
+        return log_z, unalignable
 
     def best_chunkings(self, logs: np.ndarray,
                        chunks: dict[int, Chunk]) -> list[tuple[Chunk, ...] | None]:
@@ -441,20 +445,23 @@ class ChunkAligner:
             min_prob: float = 1e-12) -> dict[str, int | list[float]]:
         """Run EM over (segments, grapheme) pairs; returns skip counters and,
         per iteration, the log-likelihood of the table it made: the sum of
-        log z over the rows that table aligns."""
+        log z over the rows that table aligns. viterbi() returns None for
+        the ratio_skipped pairs and the unalignable ones, without a path
+        under the final table."""
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         pairs = [(tuple(segs), graph) for segs, graph in pairs]
         ok = [_ratio_ok(len(segs), len(graph)) for segs, graph in pairs]
         usable = list(itertools.compress(pairs, ok))
         log_likelihood: list[float] = []
+        # unalignable stays len(usable) when EM stops because no row has a path
         stats = {"pairs": len(pairs), "ratio_skipped": len(pairs) - len(usable),
-                 "unalignable": 0, "log_likelihood": log_likelihood}
+                 "unalignable": len(usable), "log_likelihood": log_likelihood}
         lattices = _Lattices(usable)
         weights = np.ones(lattices.n_chunks)
         kept = np.zeros(0, dtype=np.intp)
         for k in range(iterations):
-            counts, order, unalignable, previous = lattices.expected_counts(weights)
+            counts, order, previous = lattices.expected_counts(weights)
             if k:  # the log-likelihood of the table the last iteration made
                 log_likelihood.append(previous)
             values = counts[order]
@@ -467,9 +474,9 @@ class ChunkAligner:
             kept = order[keep]
             weights = np.zeros(lattices.n_chunks)
             weights[kept] = values[keep]
-            stats["unalignable"] = unalignable
         else:  # and that of the final table, by one more forward pass
-            log_likelihood.append(lattices.log_likelihood(weights))
+            final, stats["unalignable"] = lattices.log_likelihood(weights)
+            log_likelihood.append(final)
         chunks = {c: lattices.chunk(c) for c in kept.tolist()}
         probs = weights[kept].tolist()
         self.probs = dict(zip(chunks.values(), probs))
@@ -543,13 +550,11 @@ class JointModel:
         self._prob_cache: dict[tuple[tuple[int, ...], int], float] = {}
 
     def prob(self, token: int, context: Sequence[int]) -> float:
-        """P(token | context) of token ids; a context over order-1 is truncated."""
-        context = tuple(context)[-(self.order - 1):] if self.order > 1 else ()
-        return self._prob(token, context)
-
-    def _prob(self, token: int, context: tuple[int, ...]) -> float:
-        # an unseen history puts full weight on its longest trained suffix, so
-        # the cache holds trained contexts only and stays bounded by the model
+        """P(token | context) of token ids. An unseen history puts full
+        weight on its longest trained suffix, so the cache holds trained
+        contexts only and stays bounded by the model; no trained context is
+        longer than order - 1, so this also truncates a longer context."""
+        context = tuple(context)
         while context and context not in self.counts:
             context = context[1:]
         key = (context, token)
@@ -564,7 +569,7 @@ class JointModel:
             total, distinct = self._ctx_stats[context]
             hi = max(bucket.get(token, 0) - self.discount, 0.0) / total
             lam = self.discount * distinct / total
-            value = hi + lam * (self._prob(token, context[1:]) if context else uniform)
+            value = hi + lam * (self.prob(token, context[1:]) if context else uniform)
         self._prob_cache[key] = value
         return value
 
@@ -758,14 +763,15 @@ def beam_decode(
             if active[0][0] <= kth:
                 break
     ranked = sorted(finalized.items(), key=lambda kv: (-kv[1], kv[0]))[:n_best]
-    return [Candidate(surface, lp, rank)
-            for rank, (surface, lp) in enumerate(ranked, start=1)]
+    return [Candidate(surface, lp) for surface, lp in ranked]
 
 
 def write_candidates_tsv(path, blocks: Iterable[tuple[str, str, list[Candidate]]]) -> None:
-    """Write candidate blocks as tag<TAB>ipa<TAB>rank<TAB>grapheme<TAB>log_score."""
-    _write_rows(path, ((tag, ipa_text, str(cand.beam_rank), cand.grapheme, repr(cand.log_score))
-                       for tag, ipa_text, candidates in blocks for cand in candidates))
+    """Write candidate blocks as tag<TAB>ipa<TAB>rank<TAB>grapheme<TAB>log_score,
+    ranks counted from 1 in list order."""
+    _write_rows(path, ((tag, ipa_text, str(rank), cand.grapheme, repr(cand.log_score))
+                       for tag, ipa_text, candidates in blocks
+                       for rank, cand in enumerate(candidates, start=1)))
 
 
 def load_external_candidates(path) -> dict[tuple[str, str], list[Candidate]]:
@@ -792,7 +798,7 @@ def load_external_candidates(path) -> dict[tuple[str, str], list[Candidate]]:
         if block and score > block[-1].log_score:
             raise NonMonotoneScoresError(
                 f"log_score {score} exceeds previous {block[-1].log_score}")
-        return key, Candidate(grapheme, score, rank)
+        return key, Candidate(grapheme, score)
 
     for key, cand in _parse_rows(path, parse):
         result.setdefault(key, []).append(cand)

@@ -192,8 +192,7 @@ def upsample_generate(
                 yield ex
                 augmented += 1
 
-        key = (entry.lang, entry.grapheme, entry.ipa.text)
-        for variant in variants.get(key, ()):
+        for variant in variants.get(entry.key, ()):
             ex = TrainExample(tag, variant, entry.grapheme, "similar-variant")
             if admit(ex, dedup=True):
                 yield ex

@@ -235,7 +235,7 @@ def test_criterion_05_metric_contracts():
         for _ in range(1000):
             reference = rng.choice(words)
             cands = tuple(
-                Candidate(rng.choice(words), -float(i), i)
+                Candidate(rng.choice(words), -float(i))
                 for i in range(1, rng.randint(2, 7)))
             item = EvalItem("eo", "<eo>", parse_ipa("kat"), reference, cands)
             wers = [top_n_wer(item, n)[0] for n in range(1, len(cands) + 2)]

@@ -266,6 +266,23 @@ def test_convert_and_strip_on_stdio(monkeypatch, capsys):
     assert capsys.readouterr().out == "kat\n"
 
 
+def test_dash_output_writes_only_the_tsv_to_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    raw = tmp_path / "raw.tsv"
+    raw.write_text("de\tkat\tkat\nde\tkat\tkad\nde\tk\tat\tkat\n", encoding="utf-8")
+    assert run_cli(["clean", "--input", str(raw), "--output", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "de\tkat\tkat\nde\tkat\tkad\n"
+    assert err == "clean: 3 rows in, 2 kept, 1 removed\n"
+    cleaned = tmp_path / "cleaned.tsv"
+    cleaned.write_text(out, encoding="utf-8")
+    assert run_cli(["pairs", "--input", str(cleaned), "--output", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "# lang\tgrapheme\tipa_a\tipa_b\nde\tkat\tkat\tkad\nde\tkat\tkad\tkat\n"
+    assert err == "pairs: 2 ordered pronunciation pairs\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cleaned.tsv", "raw.tsv"]
+
+
 def test_pairs_mine_augment_train(tmp_path):
     lex = shallow_lexicon(80, seed=42)
     cleaned = tmp_path / "cleaned.tsv"

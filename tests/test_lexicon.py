@@ -113,9 +113,8 @@ def test_clean_enforces_script_when_row_exists():
 def test_clean_resolves_codes_and_detects_script():
     lex, _ = _clean_rows([("deu", "Katze", "ˈkatsə")])
     entry = lex.entries[0]
-    assert entry.lang == "de"
-    assert entry.script == "Latn"
-    assert entry.ipa.text == "ˈkatsə"
+    assert entry == PronEntry("de", "katze", parse_ipa("ˈkatsə"))
+    assert detect_script(entry.grapheme) == "Latn"
 
 
 def test_clean_counts_exact_duplicates_once():
@@ -148,8 +147,8 @@ def test_clean_is_idempotent_on_its_own_output():
 # Lexicon container
 
 def test_lexicon_deduplicates_and_preserves_order():
-    a = PronEntry("de", "kat", parse_ipa("kat"), "Latn")
-    b = PronEntry("de", "mit", parse_ipa("mit"), "Latn")
+    a = PronEntry("de", "kat", parse_ipa("kat"))
+    b = PronEntry("de", "mit", parse_ipa("mit"))
     lex = Lexicon([a, b, a])
     assert len(lex) == 2
     assert [e.grapheme for e in lex] == ["kat", "mit"]
@@ -171,8 +170,16 @@ def test_lexicon_tsv_roundtrip(tmp_path):
     crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     for written in (path, crlf):
         back = Lexicon.read_tsv(written)
-        assert [(e.lang, e.grapheme, e.ipa.text) for e in back] == \
-            [(e.lang, e.grapheme, e.ipa.text) for e in lex]
+        assert [e.key for e in back] == [e.key for e in lex]
+
+
+def test_lexicon_holds_a_cleaned_row_once_whatever_its_source(tmp_path):
+    # an entry is its row, so clean()'s entries equal those read from its file
+    lex, _ = _clean_rows([("sr", "пас", "pas"), ("sr", "pas", "pas"), ("de", "kat", "kat")])
+    path = tmp_path / "lex.tsv"
+    lex.write_tsv(path)
+    both = Lexicon([*lex, *Lexicon.read_tsv(path)])
+    assert [e.key for e in both] == [e.key for e in lex]
 
 
 def test_lexicon_read_tsv_rejects_short_rows(tmp_path):
@@ -222,20 +229,16 @@ def test_a_leading_byte_order_mark_is_dropped(tmp_path, monkeypatch):
 # training tags
 
 def test_lang_script_tag_single_script():
-    entry = PronEntry("de", "Katze", parse_ipa("ˈkatsə"), "Latn")
+    entry = PronEntry("de", "Katze", parse_ipa("ˈkatsə"))
     assert lang_script_tag(entry) == "<de>"
 
 
 def test_lang_script_tag_multi_script():
-    cyr = PronEntry("sr", "пас", parse_ipa("pas"), "Cyrl")
-    lat = PronEntry("sr", "pas", parse_ipa("pas"), "Latn")
+    # the script is read off the grapheme
+    cyr = PronEntry("sr", "пас", parse_ipa("pas"))
+    lat = PronEntry("sr", "pas", parse_ipa("pas"))
     assert lang_script_tag(cyr) == "<sr_Cyrl>"
     assert lang_script_tag(lat) == "<sr_Latn>"
-
-
-def test_lang_script_tag_detects_when_script_unset():
-    entry = PronEntry("sr", "пас", parse_ipa("pas"))
-    assert lang_script_tag(entry) == "<sr_Cyrl>"
 
 
 # pronunciation pair extraction
@@ -263,11 +266,11 @@ def test_extract_pairs_needs_two_distinct_pronunciations():
 
 
 def test_extract_pairs_merges_script_variants():
-    # same pronunciation recorded under two scripts counts once
+    # same pronunciation recorded twice counts once
     lex = Lexicon([
-        PronEntry("sr", "pas", parse_ipa("pas"), "Latn"),
-        PronEntry("sr", "pas", parse_ipa("pas"), "Cyrl"),
-        PronEntry("sr", "pas", parse_ipa("paːs"), "Latn"),
+        PronEntry("sr", "pas", parse_ipa("pas")),
+        PronEntry("sr", "pas", parse_ipa("pas")),
+        PronEntry("sr", "pas", parse_ipa("paːs")),
     ])
     pairs = extract_ipa_pairs(lex)
     assert [(p.ipa_a.text, p.ipa_b.text) for p in pairs] == \

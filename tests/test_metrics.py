@@ -99,7 +99,7 @@ def test_exact_match_nfc():
 
 
 def _item(reference, cand_graphemes, lang="de", tag="<de>", ipa="kat"):
-    cands = tuple(Candidate(g, -float(i), i) for i, g in
+    cands = tuple(Candidate(g, -float(i)) for i, g in
                   enumerate(cand_graphemes, start=1))
     return EvalItem(lang, tag, parse_ipa(ipa), reference, cands)
 

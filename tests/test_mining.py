@@ -308,10 +308,11 @@ def test_exclude_existing_checks_both_directions():
 
 
 def test_exclude_existing_ignores_script():
-    a = PronEntry("sr", "пас", parse_ipa("pas"), "Cyrl")
-    b = PronEntry("sr", "pas", parse_ipa("pa"), "Latn")
+    a = PronEntry("sr", "пас", parse_ipa("pas"))
+    b = PronEntry("sr", "pas", parse_ipa("pa"))
     params = MiningParams(k=2, threshold=5.0, exclude_existing=True)
-    witness = PronEntry("sr", "пас", parse_ipa("pa"), "Latn")
+    # a row gives пас the pronunciation pa, whichever script a and b use
+    witness = PronEntry("sr", "пас", parse_ipa("pa"))
     mined = mine_soundalikes([a, b, witness], params)
     assert (0, 1) not in {(i, j) for i, j, _ in mined}
 

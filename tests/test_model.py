@@ -3,6 +3,7 @@ candidate file format."""
 
 from __future__ import annotations
 
+import functools
 import importlib
 import json
 import math
@@ -15,10 +16,12 @@ import _reference_em
 import _reference_viterbi
 import polyipa.model
 from _reference_decode import exhaustive_best
-from _synth import shallow_lexicon
+from _synth import ambiguous_lexicon, ambiguous_words, shallow_lexicon
 from polyipa import (
     Candidate,
     ChunkAligner,
+    IpaSegment,
+    IpaString,
     JointModel,
     Lexicon,
     PronEntry,
@@ -94,7 +97,7 @@ def test_alignment_fails_without_covering_chunks():
     # one rare row among 600 copies: min_prob prunes all its chunks
     pairs = [(("a",), "a")] * 600 + [(("x",), "q")]
     aligner = ChunkAligner()
-    assert aligner.fit(pairs, iterations=1, min_prob=1e-3)["unalignable"] == 0
+    assert aligner.fit(pairs, iterations=1, min_prob=1e-3)["unalignable"] == 1
     assert set(aligner.probs) == {(("a",), "a"), (("a",), ""), ((), "a")}
     chunkings = aligner.viterbi()
     assert chunkings[0] == ((("a",), "a"),)
@@ -172,7 +175,11 @@ def _assert_matches_reference(pairs, **kwargs):
     assert list(aligner.probs) == list(ref_probs)
     assert all(aligner.probs[c] == p for c, p in ref_probs.items())
     log_likelihood = stats.pop("log_likelihood")
-    assert stats == ref_stats
+    # the oracle counts the rows without a path under the table of its last
+    # E step; fit counts them under the final table, as viterbi() sees it
+    del ref_stats["unalignable"]
+    assert {k: v for k, v in stats.items() if k != "unalignable"} == ref_stats
+    assert stats["unalignable"] == aligner.viterbi().count(None) - stats["ratio_skipped"]
     assert len(log_likelihood) == max(1, kwargs.get("iterations", 6))
     return stats, log_likelihood
 
@@ -192,8 +199,8 @@ def test_fit_matches_reference_em_on_mixed_stream():
 def test_fit_matches_reference_em_with_pruned_chunks(iterations):
     stats, _ = _assert_matches_reference(_mixed_stream(), iterations=iterations,
                                          min_prob=1e-3)
-    if iterations > 1:
-        assert stats["unalignable"] > 0  # rows whose only chunk was pruned
+    # rows whose only chunk was pruned
+    assert stats["unalignable"] == (1 if iterations == 1 else 2)
 
 
 @pytest.mark.parametrize("block_rows", [5, 64])
@@ -282,6 +289,17 @@ def test_train_rejects_bad_settings_before_em(monkeypatch):
         train_tagged(rows, em_iterations=0)
 
 
+def test_train_alignment_failures_are_the_fit_skips(monkeypatch):
+    # pruning at 1e-3 after one iteration leaves one usable row without a path
+    monkeypatch.setattr(ChunkAligner, "fit",
+                        functools.partialmethod(ChunkAligner.fit, min_prob=1e-3))
+    rows = [("<eo>", IpaString.from_segments(map(IpaSegment, segs)), graph)
+            for segs, graph in _mixed_stream()]
+    stats = train_tagged(rows, order=2, em_iterations=1).training_stats
+    assert (stats["ratio_skipped"], stats["unalignable"]) == (4, 1)
+    assert stats["alignment_failures"] == 5
+
+
 def test_every_exported_name_resolves():
     modules = [polyipa] + [importlib.import_module(f"polyipa.{info.name}")
                            for info in pkgutil.iter_modules(polyipa.__path__)]
@@ -344,7 +362,6 @@ def test_beam_results_ranked_and_distinct():
     model = train(shallow_lexicon(200, seed=24), order=3)
     cands = beam_decode(model, "<eo>", parse_ipa("pato"), n_best=5)
     assert 1 <= len(cands) <= 5
-    assert [c.beam_rank for c in cands] == list(range(1, len(cands) + 1))
     scores = [c.log_score for c in cands]
     assert scores == sorted(scores, reverse=True)
     graphemes = [c.grapheme for c in cands]
@@ -431,8 +448,7 @@ def test_save_load_preserves_decoding(tmp_path):
         ipa = parse_ipa(probe)
         a = beam_decode(model, "<eo>", ipa, n_best=3)
         b = beam_decode(loaded, "<eo>", ipa, n_best=3)
-        assert [(c.grapheme, c.log_score, c.beam_rank) for c in a] == \
-            [(c.grapheme, c.log_score, c.beam_rank) for c in b]
+        assert a == b
 
 
 def test_failed_save_keeps_the_previous_file(tmp_path):
@@ -519,16 +535,26 @@ def test_load_rejects_malformed_documents(tmp_path, case):
 
 def test_candidates_tsv_roundtrip(tmp_path):
     blocks = [
-        ("<de>", "kat", [Candidate("kat", -0.5, 1), Candidate("katt", -2.0, 2)]),
-        ("<ru>", "mot", [Candidate("мот", -1.25, 1)]),
+        ("<de>", "kat", [Candidate("kat", -0.5), Candidate("katt", -2.0)]),
+        ("<ru>", "mot", [Candidate("мот", -1.25)]),
     ]
     path = tmp_path / "cands.tsv"
     write_candidates_tsv(path, blocks)
     loaded = load_external_candidates(path)
     assert set(loaded) == {("<de>", "kat"), ("<ru>", "mot")}
-    assert loaded[("<de>", "kat")] == [Candidate("kat", -0.5, 1),
-                                       Candidate("katt", -2.0, 2)]
+    assert loaded[("<de>", "kat")] == [Candidate("kat", -0.5), Candidate("katt", -2.0)]
     assert loaded[("<ru>", "mot")][0].grapheme == "мот"
+
+
+def test_filtered_candidates_write_and_load(tmp_path):
+    # ranks are written from list position, so a caller may drop candidates
+    words = ambiguous_words(60, seed=3)
+    model = train(ambiguous_lexicon(words), order=3)
+    cands = beam_decode(model, "<eo>", parse_ipa(words[0]), n_best=3)
+    assert len(cands) == 2
+    path = tmp_path / "cands.tsv"
+    write_candidates_tsv(path, [("<eo>", words[0], cands[1:])])
+    assert load_external_candidates(path) == {("<eo>", words[0]): cands[1:]}
 
 
 def test_candidates_loader_validates_ranks(tmp_path):

@@ -13,6 +13,7 @@ from polyipa import (
     PronEntry,
     SplitSpec,
     TrainExample,
+    clean,
     parse_ipa,
     read_examples_tsv,
     stratified_split,
@@ -114,6 +115,26 @@ def test_same_seed_reproduces_the_split():
     different = stratified_split(lex, SplitSpec(test_size=30, eval_size=20, seed=12))
     assert any([e.key for e in x] != [e.key for e in y]
                for x, y in zip(a, different))
+
+
+def test_in_memory_and_file_splits_agree_across_scripts(tmp_path):
+    # sr is written in Cyrillic and in Latin; the split orders entries by
+    # their rows, so clean()'s lexicon and the file it wrote split alike
+    cyrillic = str.maketrans("ptkmnsal", "пткмнсал")
+    rng = random.Random(8)
+    words = set()
+    while len(words) < 60:
+        words.add("".join(rng.choice("ptkmnsal") for _ in range(rng.randint(3, 6))))
+    rows = [("sr", w.translate(cyrillic) if k % 2 else w, w) for k, w in enumerate(sorted(words))]
+    lex, _ = clean(rows)
+    assert len(lex) == 60
+    path = tmp_path / "clean.tsv"
+    lex.write_tsv(path)
+    spec = SplitSpec(test_size=10, eval_size=0, seed=1)
+    in_memory = stratified_split(lex, spec)
+    from_file = stratified_split(Lexicon.read_tsv(path), spec)
+    for part_a, part_b in zip(in_memory, from_file):
+        assert [e.key for e in part_a] == [e.key for e in part_b]
 
 
 def test_allocation_matches_exact_rational_oracle():
