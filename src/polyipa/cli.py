@@ -19,6 +19,7 @@ from . import __version__
 from .config import KEYS, PipelineConfig, Resources, load as load_config
 from .errors import PolyipaError
 from .ipa import (
+    _output,
     _parse_rows,
     _read_lines,
     _write_rows,
@@ -89,15 +90,28 @@ def _summary(line: str, *outputs: str | None) -> None:
     print(line, file=sys.stderr if "-" in outputs else sys.stdout)
 
 
+def _one_stdout(**outputs: str | None) -> None:
+    """Reject two data outputs that are both stdout ("-")."""
+    dashed = [f"--{name}" for name, path in outputs.items() if path == "-"]
+    if len(dashed) > 1:
+        raise ValueError(f"{' and '.join(dashed)} cannot both be - (stdout)")
+
+
+def _write_json(path: str, text: str) -> None:
+    with _output(path) as fh:
+        fh.write(text + "\n")
+
+
 def cmd_clean(args, cfg: PipelineConfig, res: Resources) -> int:
+    _one_stdout(output=args.output, report=args.report)
     rows = read_raw_tsv(args.input)
     lex, report = clean(rows, res.inventory, res.registry, res.scripts)
     lex.write_tsv(args.output)
     if args.report:
-        Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
+        _write_json(args.report, report.to_json())
     removed = report.input_count - report.retained_count
     _summary(f"clean: {report.input_count} rows in, {report.retained_count} kept, "
-             f"{removed} removed", args.output)
+             f"{removed} removed", args.output, args.report)
     return 0
 
 
@@ -131,6 +145,7 @@ def cmd_pairs(args, cfg: PipelineConfig, res: Resources) -> int:
 
 
 def cmd_mine(args, cfg: PipelineConfig, res: Resources) -> int:
+    _one_stdout(output=args.output, embeddings=args.embeddings)
     lex = Lexicon.read_tsv(args.input, res.inventory)
     entries = list(lex)
     if args.embeddings:
@@ -169,6 +184,9 @@ def cmd_augment(args, cfg: PipelineConfig, res: Resources) -> int:
 
 
 def cmd_train(args, cfg: PipelineConfig, res: Resources) -> int:
+    if args.output == "-":
+        # save() replaces its target file as a whole, so it cannot stream
+        raise ValueError("train --output must be a file, not - (stdout)")
     source = _input(args.input)
     if _first_data_columns(source) == 4:
         examples = read_examples_tsv(source, res.inventory)
@@ -218,6 +236,7 @@ def cmd_predict(args, cfg: PipelineConfig, res: Resources) -> int:
 
 
 def cmd_eval(args, cfg: PipelineConfig, res: Resources) -> int:
+    _one_stdout(report=args.report, csv=args.csv)
     test_lex = Lexicon.read_tsv(args.test, res.inventory)
     candidates = load_external_candidates(args.candidates)
     ns = tuple(int(part) for part in args.n.split(","))
@@ -235,12 +254,12 @@ def cmd_eval(args, cfg: PipelineConfig, res: Resources) -> int:
         print(f"warning: {skipped} test entries had no candidates and were skipped",
               file=sys.stderr)
     report = stratify(items, ns)
-    Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
+    _write_json(args.report, report.to_json())
     if args.csv:
         report.write_csv(args.csv)
     o = report.overall
-    print(f"eval: {o.n_samples} items, cer {o.cer_mean:.4f}, bleu {o.bleu_mean:.4f}, "
-          f"exact {o.exact_match_rate:.4f}")
+    _summary(f"eval: {o.n_samples} items, cer {o.cer_mean:.4f}, bleu {o.bleu_mean:.4f}, "
+             f"exact {o.exact_match_rate:.4f}", args.report, args.csv)
     return 0
 
 
@@ -254,13 +273,14 @@ def cmd_report(args, cfg: PipelineConfig, res: Resources) -> int:
         rep.write_csv(args.csv)
     wer_heads = [f"top{n}_wer" for n in rep.ns]
     header = ["lang", "n", "cer", "bleu", "exact"] + wer_heads + ["beam_pos"]
-    print("  ".join(f"{h:>10}" for h in header))
+    # the table is the summary: on stderr when the CSV goes to stdout
+    _summary("  ".join(f"{h:>10}" for h in header), args.csv)
     for row in rep.rows + [rep.overall]:
         cells = [row.lang, str(row.n_samples), f"{row.cer_mean:.4f}",
                  f"{row.bleu_mean:.4f}", f"{row.exact_match_rate:.4f}"]
         cells += [f"{row.top_wer[n]:.4f}" for n in rep.ns]
         cells.append(f"{row.mean_best_beam_position:.2f}")
-        print("  ".join(f"{c:>10}" for c in cells))
+        _summary("  ".join(f"{c:>10}" for c in cells), args.csv)
     return 0
 
 
@@ -273,8 +293,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("clean", help="clean a raw lexicon TSV")
     p.add_argument("--input", required=True, help="raw lexicon TSV (lang, grapheme, ipa)")
-    p.add_argument("--output", required=True, help="cleaned lexicon TSV")
-    p.add_argument("--report", help="write the cleaning report JSON here")
+    p.add_argument("--output", required=True, help="cleaned lexicon TSV, - for stdout")
+    p.add_argument("--report", help="write the cleaning report JSON here, - for stdout")
     p.set_defaults(func=cmd_clean)
 
     p = sub.add_parser("convert", help="convert transcriptions to IPA")
@@ -343,13 +363,13 @@ def build_parser() -> _Parser:
     p.add_argument("--test", required=True, help="test lexicon TSV")
     p.add_argument("--candidates", required=True, help="candidates TSV")
     p.add_argument("--n", default="1,3,5", help="comma-separated top-N list")
-    p.add_argument("--report", required=True, help="output report JSON")
-    p.add_argument("--csv", help="also write a per-language CSV")
+    p.add_argument("--report", required=True, help="output report JSON, - for stdout")
+    p.add_argument("--csv", help="also write a per-language CSV, - for stdout")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="render a report JSON as a table")
     p.add_argument("--input", required=True, help="report JSON from eval")
-    p.add_argument("--csv", help="also write the per-language CSV")
+    p.add_argument("--csv", help="also write the per-language CSV, - for stdout")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -190,12 +190,17 @@ def _parse_rows(path, parse: Callable, columns: int | None = None, expected: str
         yield row
 
 
+def _output(path):
+    """A text stream for `with`: a new UTF-8 file, or stdout, left open,
+    when path is "-"."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
+
+
 def _write_rows(path, rows: Iterable[Iterable[str]], header: Iterable[str] | None = None) -> None:
     """Write each row's fields tab-separated, one row per line, after a
     "# name<TAB>name..." comment line when header names the columns, to a
     UTF-8 file, or to stdout when path is "-"."""
-    out = contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
-    with out as fh:
+    with _output(path) as fh:
         if header is not None:
             fh.write("# " + "\t".join(header) + "\n")
         for row in rows:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyInputError, NoCandidatesError
-from .ipa import IpaString
+from .ipa import IpaString, _output
 from .model import Candidate
 
 __all__ = [
@@ -169,10 +169,12 @@ class EvalReport:
         return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
 
     def write_csv(self, path) -> None:
+        """Write one CSV row per language, then the overall row, to a UTF-8
+        file, or to stdout when path is "-"."""
         header = ["lang", "n_samples", "cer_mean", "cer_std", "bleu_mean", "exact_match_rate"]
         header += [f"top{n}_wer" for n in self.ns]
         header.append("mean_best_beam_position")
-        with open(path, "w", encoding="utf-8") as fh:
+        with _output(path) as fh:
             fh.write(",".join(header) + "\n")
             for row in self.rows + [self.overall]:
                 cells = [row.lang, str(row.n_samples)]

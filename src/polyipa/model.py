@@ -508,6 +508,25 @@ def _check_order_discount(order: int, discount: float) -> None:
         raise ValueError("discount must be in (0, 1)")
 
 
+class _Window:
+    """The chunks decode can add at one input position: those of the
+    chunk_index keys of 0, 1 and 2 phonemes found there. Their scores after
+    a context do not depend on the query, so one window serves them all."""
+
+    __slots__ = ("groups", "entries", "longest", "scored")
+
+    def __init__(self, keys: tuple[tuple[str, ...], ...],
+                 chunk_index: dict[tuple[str, ...], list[tuple[int, str]]]):
+        # the token ids of each key, as _probs scores them
+        self.groups = tuple(tuple(tok for tok, _ in chunk_index[key]) for key in keys)
+        # (phonemes consumed, token id, letters) of every chunk, in group order
+        self.entries = tuple((len(key), tok, letters) for key in keys
+                             for tok, letters in chunk_index[key])
+        self.longest = max(len(letters) for *_, letters in self.entries)
+        # per trained context: JointModel._expansions
+        self.scored: dict[tuple[int, ...], tuple[tuple[float, ...], tuple]] = {}
+
+
 class JointModel:
     """Interpolated n-gram model over joint chunk tokens.
 
@@ -547,31 +566,67 @@ class JointModel:
         self._ctx_stats: dict[tuple[int, ...], tuple[int, int]] = {
             ctx: (sum(bucket.values()), len(bucket)) for ctx, bucket in counts.items()
         }
-        self._prob_cache: dict[tuple[tuple[int, ...], int], float] = {}
+        # P(tokens | trained context) per (context, token tuple); the tuples
+        # are chunk_index groups or single tokens, so the model bounds it
+        self._probs_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, ...]] = {}
+        # decode's scored chunks per window of chunk_index keys, for all queries
+        self._windows: dict[tuple[tuple[str, ...], ...], _Window] = {}
 
     def prob(self, token: int, context: Sequence[int]) -> float:
         """P(token | context) of token ids. An unseen history puts full
         weight on its longest trained suffix, so the cache holds trained
-        contexts only and stays bounded by the model; no trained context is
-        longer than order - 1, so this also truncates a longer context."""
+        contexts only; no trained context is longer than order - 1, so this
+        also truncates a longer context."""
+        return self._probs(self._trained_suffix(context), (token,))[0]
+
+    def _trained_suffix(self, context: Sequence[int]) -> tuple[int, ...]:
         context = tuple(context)
         while context and context not in self.counts:
             context = context[1:]
-        key = (context, token)
-        cached = self._prob_cache.get(key)
+        return context
+
+    def _probs(self, context: tuple[int, ...], tokens: tuple[int, ...]) -> tuple[float, ...]:
+        """P(token | context) of each of tokens after a trained context:
+        the discounted count plus the backoff weight times the same for the
+        longest trained suffix of context[1:], down to a uniform
+        distribution over the vocabulary."""
+        key = (context, tokens)
+        cached = self._probs_cache.get(key)
         if cached is not None:
             return cached
         uniform = 1.0 / max(1, len(self.vocab))
         bucket = self.counts.get(context)
         if bucket is None:
-            value = uniform
+            value = (uniform,) * len(tokens)
         else:
             total, distinct = self._ctx_stats[context]
-            hi = max(bucket.get(token, 0) - self.discount, 0.0) / total
             lam = self.discount * distinct / total
-            value = hi + lam * (self.prob(token, context[1:]) if context else uniform)
-        self._prob_cache[key] = value
+            lower = (self._probs(self._trained_suffix(context[1:]), tokens) if context
+                     else (uniform,) * len(tokens))
+            d = self.discount
+            value = tuple(max(bucket.get(tok, 0) - d, 0.0) / total + lam * low
+                          for tok, low in zip(tokens, lower))
+        self._probs_cache[key] = value
         return value
+
+    def _window(self, keys: tuple[tuple[str, ...], ...]) -> _Window:
+        window = self._windows.get(keys)
+        if window is None:
+            window = self._windows[keys] = _Window(keys, self.chunk_index)
+        return window
+
+    def _expansions(self, context: tuple[int, ...],
+                    window: _Window) -> tuple[tuple[float, ...], tuple[tuple[int, int, str], ...]]:
+        """The log-probabilities of a window's chunks after a trained
+        context, sorted descending, and the window's entries in that order."""
+        scored = window.scored.get(context)
+        if scored is None:
+            # math.log, not np.log, whose rounding may differ
+            logs = [math.log(p) for group in window.groups for p in self._probs(context, group)]
+            ranked = sorted(zip(logs, window.entries), key=lambda pair: pair[0], reverse=True)
+            scored = window.scored[context] = (tuple(lp for lp, _ in ranked),
+                                               tuple(entry for _, entry in ranked))
+        return scored
 
     def log_prob(self, token: int, context: Sequence[int]) -> float:
         return math.log(self.prob(token, context))
@@ -711,6 +766,13 @@ def beam_decode(
     and the best active hypothesis can no longer beat the worst kept one
     (scores only decrease as log probabilities accumulate). Output length is
     bounded by 3 x segments + 5 characters.
+
+    Each round keeps the beam_width best expansions, ties broken by surface,
+    then position. It scores first and builds last: each hypothesis reads
+    its chunks' log-probabilities, sorted, from the model's cache for its
+    trained context and input position, and only the expansions that can
+    enter the beam become hypotheses (the histogram pruning of stack
+    decoders; Koehn 2004).
     """
     if n_best < 1:
         raise ValueError("n_best must be >= 1")
@@ -732,30 +794,56 @@ def beam_decode(
 
     eos = model.ids[EOS]
     index = model.chunk_index
+    # the window of every position, None where no chunk starts
+    windows = []
+    for pos in range(len(segs) + 1):
+        keys = tuple(segs[pos:pos + plen] for plen in range(min(3, len(segs) + 1 - pos))
+                     if segs[pos:pos + plen] in index)
+        windows.append(model._window(keys) if keys else None)
     # hypothesis: (log_prob, consumed segments, context, surface)
     active: list[tuple[float, int, tuple[int, ...], str]] = [(0.0, 0, context, "")]
     finalized: dict[str, float] = {}
     max_rounds = len(segs) + max_out + 2
     for _ in range(max_rounds):
-        expanded: list[tuple[float, int, tuple[int, ...], str]] = []
+        # pass 1: the floor, the width-th best score of an expansion that
+        # fits; only a hypothesis's width best can be among the width best
+        scored = []
+        pool: list[float] = []
         for lp, pos, ctx, out in active:
             if pos == len(segs):
                 flp = lp + model.log_prob(eos, ctx)
                 prev = finalized.get(out)
                 if prev is None or flp > prev:
                     finalized[out] = flp
-            for plen in (0, 1, 2):
-                if pos + plen > len(segs):
-                    break
-                for tok, letters in index.get(segs[pos:pos + plen], ()):
-                    out2 = out + letters
-                    if len(out2) > max_out:
-                        continue
-                    lp2 = lp + model.log_prob(tok, ctx)
-                    ctx2 = (ctx + (tok,))[-ctx_len:] if ctx_len else ()
-                    expanded.append((lp2, pos + plen, ctx2, out2))
-        if not expanded:
+            window = windows[pos]
+            if window is None:
+                continue
+            logs, entries = model._expansions(model._trained_suffix(ctx), window)
+            room = max_out - len(out)
+            if window.longest <= room:
+                pool.extend([lp + s for s in logs[:width]])
+            else:
+                pool.extend([lp + s for s, (_, _, letters) in zip(logs, entries)
+                             if len(letters) <= room])
+            scored.append((lp, pos, ctx, out, logs, entries, room))
+        if not pool:
             break
+        pool.sort(reverse=True)
+        floor = pool[width - 1] if len(pool) >= width else -math.inf
+        # pass 2: build the expansions that fit and score at least the
+        # floor, hypothesis by hypothesis: these hold every one the sort
+        # below would keep from all of them, and no two of one hypothesis
+        # share a surface and position, so the sort keeps the same ones in
+        # the same order
+        expanded: list[tuple[float, int, tuple[int, ...], str]] = []
+        for lp, pos, ctx, out, logs, entries, room in scored:
+            for s, (plen, tok, letters) in zip(logs, entries):
+                lp2 = lp + s
+                if lp2 < floor:
+                    break
+                if len(letters) <= room:
+                    # contexts keep their length, ctx_len
+                    expanded.append((lp2, pos + plen, (ctx + (tok,))[1:], out + letters))
         expanded.sort(key=lambda h: (-h[0], h[3], h[1]))
         active = expanded[:width]
         if len(finalized) >= n_best:

@@ -280,7 +280,57 @@ def test_dash_output_writes_only_the_tsv_to_stdout(tmp_path, monkeypatch, capsys
     out, err = capsys.readouterr()
     assert out == "# lang\tgrapheme\tipa_a\tipa_b\nde\tkat\tkat\tkad\nde\tkat\tkad\tkat\n"
     assert err == "pairs: 2 ordered pronunciation pairs\n"
+    assert run_cli(["mine", "--input", str(cleaned), "--output", "-", "--embeddings", "-"]) == 1
+    assert "--output and --embeddings cannot both be -" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cleaned.tsv", "raw.tsv"]
+
+
+def test_clean_report_dash_writes_the_json_to_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    raw = tmp_path / "raw.tsv"
+    raw.write_text("de\tkat\tkat\nde\tk\tat\tkat\n", encoding="utf-8")
+    assert run_cli(["clean", "--input", str(raw), "--output", "clean.tsv",
+                    "--report", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["removed_by_rule"] == {"column-count": 1}
+    assert err == "clean: 2 rows in, 1 kept, 1 removed\n"
+    assert run_cli(["clean", "--input", str(raw), "--output", "-", "--report", "-"]) == 1
+    assert "--output and --report cannot both be -" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.tsv", "raw.tsv"]
+
+
+def test_eval_dash_writes_the_report_or_csv_to_stdout(pipeline, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    inputs = ["eval", "--test", str(pipeline["splits"] / "test.tsv"),
+              "--candidates", str(pipeline["cands"])]
+    assert run_cli(inputs + ["--report", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert out == pipeline["eval_report"].read_text(encoding="utf-8")
+    assert err.startswith("eval: 30 items")
+    assert run_cli(inputs + ["--report", "r.json", "--csv", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert out == pipeline["eval_csv"].read_text(encoding="utf-8")
+    assert err.startswith("eval: 30 items")
+    assert run_cli(inputs + ["--report", "-", "--csv", "-"]) == 1
+    assert "--report and --csv cannot both be -" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+
+
+def test_report_csv_dash_writes_the_csv_to_stdout(pipeline, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["report", "--input", str(pipeline["eval_report"]), "--csv", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert out == pipeline["eval_csv"].read_text(encoding="utf-8")
+    assert "top1_wer" in err and "overall" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_rejects_dash_output(pipeline, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["train", "--input", str(pipeline["splits"] / "train.tsv"),
+                    "--order", "2", "--output", "-"]) == 1
+    assert "train --output must be a file" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pairs_mine_augment_train(tmp_path):

@@ -9,14 +9,16 @@ import json
 import math
 import pkgutil
 import random
+import warnings
 
 import pytest
 
+import _reference_beam
 import _reference_em
 import _reference_viterbi
 import polyipa.model
 from _reference_decode import exhaustive_best
-from _synth import ambiguous_lexicon, ambiguous_words, shallow_lexicon
+from _synth import ambiguous_lexicon, ambiguous_words, shallow_lexicon, shallow_words
 from polyipa import (
     Candidate,
     ChunkAligner,
@@ -325,12 +327,100 @@ def test_unseen_context_backs_off_and_sums_to_one():
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
+def _cache_sizes(model):
+    return (len(model._probs_cache), len(model._windows),
+            sum(len(window.scored) for window in model._windows.values()))
+
+
 def test_decode_caches_trained_contexts_only():
     model = train(shallow_lexicon(150, seed=22), order=3)
-    for probe in ("pato", "shilo", "chama", "kemi"):
-        beam_decode(model, "<eo>", parse_ipa(probe), n_best=5)
-    assert model._prob_cache
-    assert all(ctx in model.counts for ctx, _ in model._prob_cache)
+    probes = [parse_ipa(probe) for probe in ("pato", "shilo", "chama", "kemi")]
+    for ipa in probes:
+        beam_decode(model, "<eo>", ipa, n_best=5)
+    groups = {tuple(tok for tok, _ in group) for group in model.chunk_index.values()}
+    assert model._probs_cache and model._windows
+    for ctx, tokens in model._probs_cache:
+        assert ctx in model.counts
+        assert tokens in groups or (len(tokens) == 1 and tokens[0] in model.vocab)
+    for keys, window in model._windows.items():
+        assert all(key in model.chunk_index for key in keys)
+        assert all(ctx in model.counts for ctx in window.scored)
+    sizes = _cache_sizes(model)
+    for ipa in probes:
+        beam_decode(model, "<eo>", ipa, n_best=5)
+    assert _cache_sizes(model) == sizes
+
+
+def test_prob_matches_reference_bit_for_bit():
+    model = train(shallow_lexicon(150, seed=22), order=6)
+    contexts = random.Random(3).sample(sorted(model.counts), 25)
+    assert len({len(ctx) for ctx in contexts}) > 3
+    unseen = (len(model.tokens),) + contexts[0]  # an id outside the table
+    cache = {}
+    for ctx in contexts + [unseen]:
+        for tok in sorted(model.vocab):
+            assert model.prob(tok, ctx).hex() == _reference_beam.prob(model, tok, ctx, cache).hex()
+
+
+def _assert_decode_matches_reference(model, tag, probes, widths=(1, 2, 15, 200), n_bests=(1, 5)):
+    for probe in probes:
+        ipa = parse_ipa(probe)
+        for width in widths:
+            for n_best in n_bests:
+                got = beam_decode(model, tag, ipa, n_best, width)
+                assert got == _reference_beam.beam_decode(model, tag, ipa, n_best, width), \
+                    (probe, width, n_best)
+
+
+@pytest.mark.parametrize("order", [1, 3, 6])
+def test_decode_matches_reference_beam(order):
+    model = train(shallow_lexicon(150, seed=22), order=order)
+    _assert_decode_matches_reference(model, "<eo>", ("pato", "shilo", "chama", "kemiltu", "a"))
+
+
+def _silent_letter_stream():
+    """Shallow words, each also spelled with silent letters inserted: a
+    stream that trains many 0-phoneme chunks."""
+    rng = random.Random(4)
+    rows = []
+    for graph, ipa in shallow_words(200, seed=31):
+        rows.append(("<eo>", parse_ipa(ipa), graph))
+        for silent in ("h", "w", "y", "q", "x", "c", "hw", "yq"):
+            at = rng.randint(0, len(graph))
+            rows.append(("<eo>", parse_ipa(ipa), graph[:at] + silent + graph[at:]))
+    return rows
+
+
+def test_decode_matches_reference_beam_with_silent_letters():
+    model = train_tagged(_silent_letter_stream(), order=4)
+    assert len(model.chunk_index[()]) >= 8
+    _assert_decode_matches_reference(model, "<eo>", ("pato", "shilo", "a"))
+
+
+def test_decode_matches_reference_beam_at_the_length_bound():
+    # every word also spelled with a silent tail of 3 letters per segment:
+    # with the word itself that passes 3 x segments + 5 letters, the
+    # longest surface decode may build, so expansions stop fitting
+    rows = []
+    for graph, ipa in shallow_words(150, seed=31):
+        segments = len(parse_ipa(ipa).segments)
+        rows.append(("<eo>", parse_ipa(ipa), graph))
+        rows.append(("<eo>", parse_ipa(ipa), graph + "h" * (3 * segments)))
+    model = train_tagged(rows, order=4)
+    assert [letters for _, letters in model.chunk_index[()]] == ["h", "hh"]
+    cands = beam_decode(model, "<eo>", parse_ipa("a"), n_best=5, beam_width=2)
+    assert [c.grapheme for c in cands] == ["hhhhhhha"]  # 8 letters, the bound
+    _assert_decode_matches_reference(model, "<eo>", ("pato", "a", "shilo"))
+
+
+def test_decode_matches_reference_beam_for_an_unseen_tag():
+    model = train(shallow_lexicon(150, seed=22), order=3)
+    for decode in (beam_decode, _reference_beam.beam_decode):
+        with pytest.warns(UnknownTagWarning):
+            decode(model, "<zz>", parse_ipa("pato"), 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnknownTagWarning)
+        _assert_decode_matches_reference(model, "<zz>", ("pato", "shilo"))
 
 
 def test_tags_condition_the_output():
