@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -27,7 +28,7 @@ from .ipa import (
     parse_ipa,
     strip_diacritics_tones,
 )
-from .lexicon import Lexicon, clean, extract_ipa_pairs, lang_script_tag, read_raw_tsv
+from .lexicon import Lexicon, PronEntry, clean, extract_ipa_pairs, lang_script_tag, read_raw_tsv
 from .metrics import EvalItem, report_from_json, stratify
 from .mining import (
     build_embedding_matrix,
@@ -90,11 +91,18 @@ def _summary(line: str, *outputs: str | None) -> None:
     print(line, file=sys.stderr if "-" in outputs else sys.stdout)
 
 
-def _one_stdout(**outputs: str | None) -> None:
-    """Reject two data outputs that are both stdout ("-")."""
-    dashed = [f"--{name}" for name, path in outputs.items() if path == "-"]
-    if len(dashed) > 1:
-        raise ValueError(f"{' and '.join(dashed)} cannot both be - (stdout)")
+def _distinct_outputs(**outputs: str | None) -> None:
+    """Reject two outputs of one command that are both stdout ("-") or
+    name the same file, before anything is read or written."""
+    seen: dict[str, str] = {}
+    for name, path in outputs.items():
+        if path is None:
+            continue
+        target = path if path == "-" else os.path.realpath(path)
+        other = seen.setdefault(target, name)
+        if other != name:
+            raise ValueError(f"--{other} and --{name} cannot both be - (stdout)" if path == "-"
+                             else f"--{other} and --{name} name the same file {path}")
 
 
 def _write_json(path: str, text: str) -> None:
@@ -103,7 +111,7 @@ def _write_json(path: str, text: str) -> None:
 
 
 def cmd_clean(args, cfg: PipelineConfig, res: Resources) -> int:
-    _one_stdout(output=args.output, report=args.report)
+    _distinct_outputs(output=args.output, report=args.report)
     rows = read_raw_tsv(args.input)
     lex, report = clean(rows, res.inventory, res.registry, res.scripts)
     lex.write_tsv(args.output)
@@ -145,7 +153,7 @@ def cmd_pairs(args, cfg: PipelineConfig, res: Resources) -> int:
 
 
 def cmd_mine(args, cfg: PipelineConfig, res: Resources) -> int:
-    _one_stdout(output=args.output, embeddings=args.embeddings)
+    _distinct_outputs(output=args.output, embeddings=args.embeddings)
     lex = Lexicon.read_tsv(args.input, res.inventory)
     entries = list(lex)
     if args.embeddings:
@@ -217,9 +225,12 @@ def cmd_predict(args, cfg: PipelineConfig, res: Resources) -> int:
         queries = dict(_parse_rows(source, lambda tag, ipa_text: (
             (tag, ipa_text), parse_ipa(ipa_text, res.inventory)), 2, "tag<TAB>ipa"))
     else:
-        lex = Lexicon.read_tsv(source, res.inventory)
-        keys = dict.fromkeys((lang_script_tag(e, res.scripts), e.ipa.text) for e in lex)
-        queries = {key: parse_ipa(key[1], res.inventory) for key in keys}
+        def query(lang: str, grapheme: str, ipa_text: str):
+            # keyed by the raw transcription, which eval looks candidates up by
+            ipa = parse_ipa(ipa_text, res.inventory)
+            return (lang_script_tag(PronEntry(lang, grapheme, ipa), res.scripts), ipa_text), ipa
+
+        queries = dict(_parse_rows(source, query, 3, "lang<TAB>grapheme<TAB>ipa"))
     blocks = []
     empty = 0
     for (tag, ipa_text), ipa in queries.items():
@@ -236,7 +247,7 @@ def cmd_predict(args, cfg: PipelineConfig, res: Resources) -> int:
 
 
 def cmd_eval(args, cfg: PipelineConfig, res: Resources) -> int:
-    _one_stdout(report=args.report, csv=args.csv)
+    _distinct_outputs(report=args.report, csv=args.csv)
     test_lex = Lexicon.read_tsv(args.test, res.inventory)
     candidates = load_external_candidates(args.candidates)
     ns = tuple(int(part) for part in args.n.split(","))

@@ -13,12 +13,14 @@ and keeps the usual breadth-limited beam with early stopping.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
 import os
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -513,7 +515,7 @@ class _Window:
     chunk_index keys of 0, 1 and 2 phonemes found there. Their scores after
     a context do not depend on the query, so one window serves them all."""
 
-    __slots__ = ("groups", "entries", "longest", "scored")
+    __slots__ = ("groups", "entries", "scored")
 
     def __init__(self, keys: tuple[tuple[str, ...], ...],
                  chunk_index: dict[tuple[str, ...], list[tuple[int, str]]]):
@@ -522,9 +524,8 @@ class _Window:
         # (phonemes consumed, token id, letters) of every chunk, in group order
         self.entries = tuple((len(key), tok, letters) for key in keys
                              for tok, letters in chunk_index[key])
-        self.longest = max(len(letters) for *_, letters in self.entries)
         # per trained context: JointModel._expansions
-        self.scored: dict[tuple[int, ...], tuple[tuple[float, ...], tuple]] = {}
+        self.scored: dict[tuple[int, ...], tuple[tuple[float, int, int, str], ...]] = {}
 
 
 class JointModel:
@@ -536,6 +537,12 @@ class JointModel:
     distribution over the observed vocabulary, so every conditional
     distribution sums to one. Every trained token is counted under the empty
     context, so that bucket holds the vocabulary and the trained tags.
+
+    The trained contexts are closed under dropping their first or their last
+    token, as counting every n-gram order of a stream makes them: _probs
+    backs off along context[1:], and decode's state, the longest trained
+    suffix of a history, is the longest trained suffix of the previous
+    state plus one token. The constructor rejects any other table.
     """
 
     def __init__(
@@ -552,9 +559,18 @@ class JointModel:
         self.tokens = tokens
         self.counts = counts
         self.training_stats = dict(training_stats or {})
+        if not all(map(_is_token, tokens)):
+            raise ValueError("token table holds a token that is not a boundary, "
+                             "a tag with a str name or a chunk of str phonemes and letters")
+        if any(a >= b for a, b in zip(tokens, tokens[1:])):
+            raise ValueError("token table not sorted or not distinct")
         self.ids = {tok: i for i, tok in enumerate(self.tokens)}
         if EOS not in self.ids or (order > 1 and BOS not in self.ids):
             raise ValueError("token table lacks the sentence boundary tokens")
+        if () not in counts or not all(ctx[1:] in counts and ctx[:-1] in counts
+                                       for ctx in counts if ctx):
+            raise ValueError("n-gram contexts not closed: the empty context, or a context "
+                             "without its first or last token, is missing")
         self.vocab: frozenset[int] = frozenset(counts.get((), ()))
         self.tags = frozenset(self.tokens[i][1] for i in self.vocab if self.tokens[i][0] == "tag")
         # chunk ids and letters by phoneme tuple, letters in table order
@@ -587,26 +603,21 @@ class JointModel:
 
     def _probs(self, context: tuple[int, ...], tokens: tuple[int, ...]) -> tuple[float, ...]:
         """P(token | context) of each of tokens after a trained context:
-        the discounted count plus the backoff weight times the same for the
-        longest trained suffix of context[1:], down to a uniform
-        distribution over the vocabulary."""
+        the discounted count plus the backoff weight times the same after
+        context[1:], which is trained too, down to a uniform distribution
+        over the vocabulary."""
         key = (context, tokens)
         cached = self._probs_cache.get(key)
         if cached is not None:
             return cached
-        uniform = 1.0 / max(1, len(self.vocab))
-        bucket = self.counts.get(context)
-        if bucket is None:
-            value = (uniform,) * len(tokens)
-        else:
-            total, distinct = self._ctx_stats[context]
-            lam = self.discount * distinct / total
-            lower = (self._probs(self._trained_suffix(context[1:]), tokens) if context
-                     else (uniform,) * len(tokens))
-            d = self.discount
-            value = tuple(max(bucket.get(tok, 0) - d, 0.0) / total + lam * low
-                          for tok, low in zip(tokens, lower))
-        self._probs_cache[key] = value
+        bucket = self.counts[context]
+        total, distinct = self._ctx_stats[context]
+        lam = self.discount * distinct / total
+        lower = (self._probs(context[1:], tokens) if context
+                 else (1.0 / len(self.vocab),) * len(tokens))
+        d = self.discount
+        value = self._probs_cache[key] = tuple(
+            max(bucket.get(tok, 0) - d, 0.0) / total + lam * low for tok, low in zip(tokens, lower))
         return value
 
     def _window(self, keys: tuple[tuple[str, ...], ...]) -> _Window:
@@ -616,17 +627,17 @@ class JointModel:
         return window
 
     def _expansions(self, context: tuple[int, ...],
-                    window: _Window) -> tuple[tuple[float, ...], tuple[tuple[int, int, str], ...]]:
-        """The log-probabilities of a window's chunks after a trained
-        context, sorted descending, and the window's entries in that order."""
-        scored = window.scored.get(context)
-        if scored is None:
+                    window: _Window) -> tuple[tuple[float, int, int, str], ...]:
+        """(log-probability, phonemes consumed, token id, letters) of each
+        of a window's chunks after a trained context, best first."""
+        rows = window.scored.get(context)
+        if rows is None:
             # math.log, not np.log, whose rounding may differ
             logs = [math.log(p) for group in window.groups for p in self._probs(context, group)]
-            ranked = sorted(zip(logs, window.entries), key=lambda pair: pair[0], reverse=True)
-            scored = window.scored[context] = (tuple(lp for lp, _ in ranked),
-                                               tuple(entry for _, entry in ranked))
-        return scored
+            rows = window.scored[context] = tuple(sorted(
+                [(lp, *entry) for lp, entry in zip(logs, window.entries)],
+                key=itemgetter(0), reverse=True))
+        return rows
 
     def log_prob(self, token: int, context: Sequence[int]) -> float:
         return math.log(self.prob(token, context))
@@ -674,8 +685,6 @@ class JointModel:
                 raise ValueError(f"not a {_FORMAT} document of version {_VERSION}")
             tokens = [tuple(tuple(f) if isinstance(f, list) else f for f in raw)
                       for raw in doc["tokens"]]
-            if any(a >= b for a, b in zip(tokens, tokens[1:])):
-                raise ValueError("token table not sorted or not distinct")
             counts: dict[tuple[int, ...], dict[int, int]] = {}
             for row in doc["ngrams"]:
                 *ctx, tok, cnt = row
@@ -696,6 +705,16 @@ class JointModel:
 
 def _is_id(value, size: float = math.inf) -> bool:
     return type(value) is int and 0 <= value < size  # json reads true as a bool
+
+
+def _is_token(tok) -> bool:
+    """BOS, EOS, ("tag", name) or ("chunk", phonemes, letters), of str."""
+    if tok in (BOS, EOS):
+        return True
+    if len(tok) == 2 and tok[0] == "tag":
+        return isinstance(tok[1], str)
+    return (len(tok) == 3 and tok[0] == "chunk" and isinstance(tok[1], tuple)
+            and all(isinstance(p, str) for p in tok[1]) and isinstance(tok[2], str))
 
 
 def train(
@@ -770,9 +789,10 @@ def beam_decode(
     Each round keeps the beam_width best expansions, ties broken by surface,
     then position. It scores first and builds last: each hypothesis reads
     its chunks' log-probabilities, sorted, from the model's cache for its
-    trained context and input position, and only the expansions that can
-    enter the beam become hypotheses (the histogram pruning of stack
-    decoders; Koehn 2004).
+    longest trained context and input position; one lazy merge of those
+    lists picks the beam_width best expansions that fit, with any tied with
+    the last, and only these become hypotheses (the histogram pruning of
+    stack decoders; Koehn 2004).
     """
     if n_best < 1:
         raise ValueError("n_best must be >= 1")
@@ -792,7 +812,7 @@ def beam_decode(
         warnings.warn(f"tag {tag!r} not seen in training; decoding untagged",
                       UnknownTagWarning, stacklevel=2)
 
-    eos = model.ids[EOS]
+    eos = (model.ids[EOS],)
     index = model.chunk_index
     # the window of every position, None where no chunk starts
     windows = []
@@ -800,50 +820,43 @@ def beam_decode(
         keys = tuple(segs[pos:pos + plen] for plen in range(min(3, len(segs) + 1 - pos))
                      if segs[pos:pos + plen] in index)
         windows.append(model._window(keys) if keys else None)
-    # hypothesis: (log_prob, consumed segments, context, surface)
-    active: list[tuple[float, int, tuple[int, ...], str]] = [(0.0, 0, context, "")]
+
+    def fitting(hyp, rows, room):
+        # (log_prob, hyp, phonemes, token, letters) of hyp's expansions that fit
+        for s, plen, tok, letters in rows:
+            if len(letters) <= room:
+                yield hyp[0] + s, hyp, plen, tok, letters
+
+    # hypothesis: (log_prob, consumed segments, longest trained context, surface);
+    # that context is the state: the longest trained suffix of a history is
+    # that of its hypothesis's context plus the new token
+    active: list[tuple[float, int, tuple[int, ...], str]] = [
+        (0.0, 0, model._trained_suffix(context), "")]
     finalized: dict[str, float] = {}
     max_rounds = len(segs) + max_out + 2
     for _ in range(max_rounds):
-        # pass 1: the floor, the width-th best score of an expansion that
-        # fits; only a hypothesis's width best can be among the width best
-        scored = []
-        pool: list[float] = []
-        for lp, pos, ctx, out in active:
+        streams = []
+        for hyp in active:
+            lp, pos, ctx, out = hyp
             if pos == len(segs):
-                flp = lp + model.log_prob(eos, ctx)
+                flp = lp + math.log(model._probs(ctx, eos)[0])
                 prev = finalized.get(out)
                 if prev is None or flp > prev:
                     finalized[out] = flp
-            window = windows[pos]
-            if window is None:
-                continue
-            logs, entries = model._expansions(model._trained_suffix(ctx), window)
-            room = max_out - len(out)
-            if window.longest <= room:
-                pool.extend([lp + s for s in logs[:width]])
-            else:
-                pool.extend([lp + s for s, (_, _, letters) in zip(logs, entries)
-                             if len(letters) <= room])
-            scored.append((lp, pos, ctx, out, logs, entries, room))
-        if not pool:
+            if windows[pos] is not None:
+                streams.append(fitting(hyp, model._expansions(ctx, windows[pos]),
+                                       max_out - len(out)))
+        # every expansion that fits and scores at least the width-th best:
+        # the sort below keeps the same ones from these as from all, and
+        # merge is stable, so rows of equal score keep hypothesis order
+        merged = heapq.merge(*streams, key=itemgetter(0), reverse=True)
+        best = list(itertools.islice(merged, width))
+        if not best:
             break
-        pool.sort(reverse=True)
-        floor = pool[width - 1] if len(pool) >= width else -math.inf
-        # pass 2: build the expansions that fit and score at least the
-        # floor, hypothesis by hypothesis: these hold every one the sort
-        # below would keep from all of them, and no two of one hypothesis
-        # share a surface and position, so the sort keeps the same ones in
-        # the same order
-        expanded: list[tuple[float, int, tuple[int, ...], str]] = []
-        for lp, pos, ctx, out, logs, entries, room in scored:
-            for s, (plen, tok, letters) in zip(logs, entries):
-                lp2 = lp + s
-                if lp2 < floor:
-                    break
-                if len(letters) <= room:
-                    # contexts keep their length, ctx_len
-                    expanded.append((lp2, pos + plen, (ctx + (tok,))[1:], out + letters))
+        last = best[-1][0]
+        best.extend(itertools.takewhile(lambda row: row[0] == last, merged))
+        expanded = [(lp2, pos + plen, model._trained_suffix(ctx + (tok,)), out + letters)
+                    for lp2, (_, pos, ctx, out), plen, tok, letters in best]
         expanded.sort(key=lambda h: (-h[0], h[3], h[1]))
         active = expanded[:width]
         if len(finalized) >= n_best:

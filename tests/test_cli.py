@@ -316,6 +316,22 @@ def test_eval_dash_writes_the_report_or_csv_to_stdout(pipeline, tmp_path, monkey
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
 
 
+@pytest.mark.parametrize("command", ["clean", "mine", "eval"])
+def test_two_outputs_naming_one_file_are_a_usage_error(command, pipeline, tmp_path,
+                                                       monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    argv, first, second = {
+        "clean": (["clean", "--input", str(pipeline["raw"])], "--output", "--report"),
+        "mine": (["mine", "--input", str(pipeline["cleaned"])], "--output", "--embeddings"),
+        "eval": (["eval", "--test", str(pipeline["splits"] / "test.tsv"),
+                  "--candidates", str(pipeline["cands"])], "--report", "--csv"),
+    }[command]
+    assert run_cli(argv + [first, "out", second, "sub/../out"]) == 1
+    assert f"{first} and {second} name the same file sub/../out" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
 def test_report_csv_dash_writes_the_csv_to_stdout(pipeline, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run_cli(["report", "--input", str(pipeline["eval_report"]), "--csv", "-"]) == 0

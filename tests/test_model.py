@@ -19,6 +19,7 @@ import _reference_viterbi
 import polyipa.model
 from _reference_decode import exhaustive_best
 from _synth import ambiguous_lexicon, ambiguous_words, shallow_lexicon, shallow_words
+from polyipa import cli
 from polyipa import (
     Candidate,
     ChunkAligner,
@@ -423,6 +424,23 @@ def test_decode_matches_reference_beam_for_an_unseen_tag():
         _assert_decode_matches_reference(model, "<zz>", ("pato", "shilo"))
 
 
+def test_decode_keeps_every_expansion_tied_at_the_beam_boundary():
+    # "ku" spelled two ways once each: EM learns the chunks ku -> "ku",
+    # ku -> "kh" and a silent "u", all counted once, so their expansions tie.
+    # The merge yields the silent "u" first, but the surface order keeps
+    # "kh" at width 1, so a merge that stopped at width rows would lose it
+    rows = [("<x>", parse_ipa("ku"), spelling) for spelling in ("ku", "khu")]
+    model = train_tagged(rows, order=1)
+    ipa = parse_ipa("ku")
+    top = _reference_beam.beam_decode(model, "<x>", ipa, 2, 2)
+    assert [c.grapheme for c in top] == ["kh", "ku"]
+    assert top[0].log_score == top[1].log_score
+    for width in (1, 2):
+        for n_best in (1, 2, 5):
+            assert (beam_decode(model, "<x>", ipa, n_best, width)
+                    == _reference_beam.beam_decode(model, "<x>", ipa, n_best, width))
+
+
 def test_tags_condition_the_output():
     rows = []
     for word in ("vata", "vilo", "navi", "kavu", "veni", "sivo"):
@@ -575,12 +593,16 @@ def test_load_rejects_other_files(tmp_path):
                                   "truncated", "no-ngrams", "negative-id", "negative-count",
                                   "fractional-count", "long-context", "repeated-ngram",
                                   "bool-order", "context-id-past-table", "token-id-past-table",
-                                  "unsorted-tokens", "no-eos"])
-def test_load_rejects_malformed_documents(tmp_path, case):
+                                  "unsorted-tokens", "no-eos", "chunk-letters-not-str",
+                                  "chunk-phonemes-not-str", "tag-name-not-str", "unknown-token",
+                                  "no-empty-context", "no-1-token-contexts",
+                                  "context-without-its-suffix", "context-without-its-prefix"])
+def test_load_rejects_malformed_documents(tmp_path, case, capsys):
     path = tmp_path / "m.model"
-    train(shallow_lexicon(40, seed=30), order=2).save(path)
+    train(shallow_lexicon(40, seed=30), order=3).save(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
-    ngrams = doc["ngrams"]
+    tokens, ngrams = doc["tokens"], doc["ngrams"]
+    eos, tag = tokens.index(["</s>"]), tokens.index(["tag", "<eo>"])
     if case == "v1-lines":
         text = "polyipa-joint-model\t1\norder\t2\ndiscount\t0x1.8000000000000p-1\ntags\t0\n"
     elif case == "truncated":
@@ -601,7 +623,7 @@ def test_load_rejects_malformed_documents(tmp_path, case):
         elif case == "fractional-count":
             ngrams[0][-1] = 0.5
         elif case == "long-context":
-            ngrams.append([0] * 9 + [1, 1])  # an order-2 model has 1-token contexts
+            ngrams.append([0] * 9 + [1, 1])  # an order-3 model has 2-token contexts
         elif case == "repeated-ngram":
             ngrams.append(list(ngrams[-1]))
         elif case == "context-id-past-table":
@@ -613,12 +635,33 @@ def test_load_rejects_malformed_documents(tmp_path, case):
         elif case == "no-eos":
             assert doc["tokens"][0] == ["</s>"]
             doc["tokens"][0] = ["</r>"]
+        elif case == "chunk-letters-not-str":
+            tokens[tokens.index(["chunk", ["a"], "a"])][2] = 5
+        elif case == "chunk-phonemes-not-str":
+            tokens[tokens.index(["chunk", ["a"], "a"])][1] = [5]
+        elif case == "tag-name-not-str":
+            tokens[tag][1] = 7
+        elif case == "unknown-token":
+            tokens.append(["word"])
+        elif case == "no-empty-context":
+            doc["ngrams"] = [row for row in ngrams if len(row) != 2]
+        elif case == "no-1-token-contexts":
+            doc["ngrams"] = [row for row in ngrams if len(row) != 3]
+        elif case == "context-without-its-suffix":
+            ngrams.append([tag, eos, eos, 1])  # EOS never ends a context
+        elif case == "context-without-its-prefix":
+            ngrams.append([eos, tag, eos, 1])  # nor starts one
         else:
             doc["order"] = True
         text = json.dumps(doc)
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match="m.model: not a readable model file"):
         JointModel.load(path)
+    queries = tmp_path / "q.tsv"
+    queries.write_text("<eo>\tkat\n", encoding="utf-8")
+    assert cli.main(["predict", "--model", str(path), "--input", str(queries),
+                     "--output", str(tmp_path / "c.tsv")]) == 1
+    assert "m.model: not a readable model file" in capsys.readouterr().err
 
 
 # candidate files
