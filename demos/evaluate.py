@@ -53,7 +53,8 @@ print("\nper-language rows (widest first):")
 for row in report.rows + [report.overall]:
     print(f"  {row.lang:8s} n={row.n_samples} cer={row.cer_mean:.3f} "
           f"bleu={row.bleu_mean:.3f} exact={row.exact_match_rate:.3f} "
-          f"top1={row.top_wer[1]:.3f} top3={row.top_wer[3]:.3f}")
+          f"top1={row.top_wer[1]:.3f} top3={row.top_wer[3]:.3f} "
+          f"top3_cer={row.top_cer[3]:.3f}")
 
 # reports serialize to JSON and CSV for downstream tooling
 with tempfile.TemporaryDirectory() as tmp:

@@ -282,14 +282,15 @@ def cmd_report(args, cfg: PipelineConfig, res: Resources) -> int:
                          f"({type(exc).__name__}: {exc})") from None
     if args.csv:
         rep.write_csv(args.csv)
-    wer_heads = [f"top{n}_wer" for n in rep.ns]
-    header = ["lang", "n", "cer", "bleu", "exact"] + wer_heads + ["beam_pos"]
+    top_heads = [f"top{n}_wer" for n in rep.ns] + [f"top{n}_cer" for n in rep.ns]
+    header = ["lang", "n", "cer", "bleu", "exact"] + top_heads + ["beam_pos"]
     # the table is the summary: on stderr when the CSV goes to stdout
     _summary("  ".join(f"{h:>10}" for h in header), args.csv)
     for row in rep.rows + [rep.overall]:
         cells = [row.lang, str(row.n_samples), f"{row.cer_mean:.4f}",
                  f"{row.bleu_mean:.4f}", f"{row.exact_match_rate:.4f}"]
         cells += [f"{row.top_wer[n]:.4f}" for n in rep.ns]
+        cells += [f"{row.top_cer[n]:.4f}" for n in rep.ns]
         cells.append(f"{row.mean_best_beam_position:.2f}")
         _summary("  ".join(f"{c:>10}" for c in cells), args.csv)
     return 0

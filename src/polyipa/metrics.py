@@ -2,7 +2,8 @@
 
 All character-level metrics operate on NFC code-point sequences. Items carry
 a ranked candidate list; Top-N statistics look at the first N candidates and
-record both the best word error rate and where on the beam it was found.
+record the best word and character error rates, and where on the beam the
+best word error rate was found.
 """
 
 from __future__ import annotations
@@ -138,6 +139,7 @@ class MetricsRow:
     bleu_mean: float
     exact_match_rate: float
     top_wer: dict[int, float]
+    top_cer: dict[int, float]
     mean_best_beam_position: float
 
     def to_dict(self) -> dict:
@@ -149,6 +151,7 @@ class MetricsRow:
             "bleu_mean": self.bleu_mean,
             "exact_match_rate": self.exact_match_rate,
             "top_wer": {str(n): v for n, v in sorted(self.top_wer.items())},
+            "top_cer": {str(n): v for n, v in sorted(self.top_cer.items())},
             "mean_best_beam_position": self.mean_best_beam_position,
         }
 
@@ -172,7 +175,7 @@ class EvalReport:
         """Write one CSV row per language, then the overall row, to a UTF-8
         file, or to stdout when path is "-"."""
         header = ["lang", "n_samples", "cer_mean", "cer_std", "bleu_mean", "exact_match_rate"]
-        header += [f"top{n}_wer" for n in self.ns]
+        header += [f"top{n}_wer" for n in self.ns] + [f"top{n}_cer" for n in self.ns]
         header.append("mean_best_beam_position")
         with _output(path) as fh:
             fh.write(",".join(header) + "\n")
@@ -180,6 +183,7 @@ class EvalReport:
                 cells = [row.lang, str(row.n_samples)]
                 cells += [repr(v) for v in (row.cer_mean, row.cer_std, row.bleu_mean, row.exact_match_rate)]
                 cells += [repr(row.top_wer[n]) for n in self.ns]
+                cells += [repr(row.top_cer[n]) for n in self.ns]
                 cells.append(repr(row.mean_best_beam_position))
                 fh.write(",".join(cells) + "\n")
 
@@ -190,6 +194,7 @@ class _Scores:
     bleus: list[float] = field(default_factory=list)
     exacts: list[float] = field(default_factory=list)
     wers: dict[int, list[float]] = field(default_factory=dict)
+    top_cers: dict[int, list[float]] = field(default_factory=dict)
     positions: list[float] = field(default_factory=list)
 
 
@@ -203,6 +208,7 @@ def _score_row(lang: str, sc: _Scores, ns: tuple[int, ...]) -> MetricsRow:
         bleu_mean=float(np.mean(sc.bleus)),
         exact_match_rate=float(np.mean(sc.exacts)),
         top_wer={n: float(np.mean(sc.wers[n])) for n in ns},
+        top_cer={n: float(np.mean(sc.top_cers[n])) for n in ns},
         mean_best_beam_position=float(np.mean(sc.positions)),
     )
 
@@ -214,7 +220,7 @@ def stratify(items: Iterable[EvalItem], ns: tuple[int, ...] = (1, 3, 5)) -> Eval
     computed from the pooled items, which makes its means the sample-count-
     weighted means of the per-language rows. Rows are ordered by descending
     n_samples, ties by language code. The recorded beam position is taken at
-    the widest N.
+    the widest N; top-N CER is the best CER over the first N candidates.
     """
     items = list(items)
     if not items:
@@ -228,16 +234,17 @@ def stratify(items: Iterable[EvalItem], ns: tuple[int, ...] = (1, 3, 5)) -> Eval
             raise NoCandidatesError(f"no candidates for {item.tag} {item.ipa}")
         top1 = item.candidates[0].grapheme
         targets = (per_lang.setdefault(item.lang, _Scores()), pooled)
-        item_cer = cer(item.reference, top1)
+        cers = [cer(item.reference, c.grapheme) for c in item.candidates[:widest]]
         item_bleu = char_bleu(item.reference, top1)
         item_exact = float(exact_match(item.reference, top1))
         wer_by_n = {n: top_n_wer(item, n) for n in ns}
         for sc in targets:
-            sc.cers.append(item_cer)
+            sc.cers.append(cers[0])
             sc.bleus.append(item_bleu)
             sc.exacts.append(item_exact)
             for n in ns:
                 sc.wers.setdefault(n, []).append(wer_by_n[n][0])
+                sc.top_cers.setdefault(n, []).append(min(cers[:n]))
             sc.positions.append(float(wer_by_n[widest][1]))
     rows = [_score_row(lang, sc, ns) for lang, sc in per_lang.items()]
     rows.sort(key=lambda r: (-r.n_samples, r.lang))
@@ -256,6 +263,7 @@ def _row_from_dict(payload: dict) -> MetricsRow:
         bleu_mean=float(payload["bleu_mean"]),
         exact_match_rate=float(payload["exact_match_rate"]),
         top_wer={int(k): float(v) for k, v in payload["top_wer"].items()},
+        top_cer={int(k): float(v) for k, v in payload["top_cer"].items()},
         mean_best_beam_position=float(payload["mean_best_beam_position"]),
     )
 
@@ -266,6 +274,8 @@ def report_from_json(text: str) -> EvalReport:
     overall = _row_from_dict(payload["overall"])
     rows = [_row_from_dict(r) for r in payload["languages"]]
     ns = tuple(sorted(overall.top_wer))
-    if any(tuple(sorted(row.top_wer)) != ns for row in rows):
-        raise ValueError(f"a language row's top_wer keys differ from the overall {list(ns)}")
+    for row in rows + [overall]:
+        if tuple(sorted(row.top_wer)) != ns or tuple(sorted(row.top_cer)) != ns:
+            raise ValueError(f"row {row.lang}: top_wer or top_cer keys differ from "
+                             f"the overall top_wer {list(ns)}")
     return EvalReport(rows=rows, overall=overall, ns=ns)

@@ -2,8 +2,8 @@
 
 Training entries are chunk-aligned by EM (chunk shapes up to 2 phonemes by
 2 graphemes, never 0:0) and chunked by Viterbi over the same compiled
-lattices, then an n-gram model with absolute-discount
-interpolation is counted over token streams of the form
+lattices, then an n-gram model interpolated by absolute discounting, with
+discounts per context length, is counted over token streams of the form
 
     [BOS ... BOS, <lang tag>, chunk, chunk, ..., EOS]
 
@@ -19,6 +19,7 @@ import json
 import math
 import os
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -57,8 +58,9 @@ EOS: Token = ("</s>",)
 
 _MAX_RATIO = 4
 _FORMAT = "polyipa-joint-model"
-_VERSION = 3
-_FIELDS = frozenset({"format", "version", "order", "discount", "tokens", "ngrams"})
+_VERSION = 4
+_FIELDS = frozenset({"format", "version", "order", "tokens", "ngrams"})
+_FALLBACK_DISCOUNT = 0.75  # JointModel.discounts[L] where its n1 or n2 is 0
 # training rows per compiled block of EM lattices
 _BLOCK_ROWS = 1024
 _SHAPES = tuple((p, g) for p in range(3) for g in range(3) if (p, g) != (0, 0))
@@ -503,11 +505,9 @@ class ChunkAligner:
         return [next(chunkings) if good else None for good in ok]
 
 
-def _check_order_discount(order: int, discount: float) -> None:
+def _check_order(order: int) -> None:
     if isinstance(order, bool) or not isinstance(order, int) or order < 1:
         raise ValueError("order must be an integer >= 1")
-    if not 0.0 < discount < 1.0:
-        raise ValueError("discount must be in (0, 1)")
 
 
 class _Window:
@@ -532,11 +532,11 @@ class JointModel:
     """Interpolated n-gram model over joint chunk tokens.
 
     Tokens live in one sorted table, the one the model file stores, and the
-    n-gram counts, contexts and vocabulary refer to them by their index in
-    it. Absolute discounting with a fixed discount recurses to a uniform
-    distribution over the observed vocabulary, so every conditional
-    distribution sums to one. Every trained token is counted under the empty
-    context, so that bucket holds the vocabulary and the trained tags.
+    n-gram counts, contexts and vocabulary refer to them by their index in it.
+    Absolute discounting, by discounts[L] in (0, 1) after a length-L context,
+    recurses to a uniform distribution over the observed vocabulary, so every
+    conditional distribution sums to one. Every trained token is counted under
+    the empty context, so that bucket holds the vocabulary and the trained tags.
 
     The trained contexts are closed under dropping their first or their last
     token, as counting every n-gram order of a stream makes them: _probs
@@ -548,14 +548,12 @@ class JointModel:
     def __init__(
         self,
         order: int,
-        discount: float,
         tokens: list[Token],
         counts: dict[tuple[int, ...], dict[int, int]],
         training_stats: dict[str, int | list[float]] | None = None,
     ):
-        _check_order_discount(order, discount)
+        _check_order(order)
         self.order = order
-        self.discount = discount
         self.tokens = tokens
         self.counts = counts
         self.training_stats = dict(training_stats or {})
@@ -567,10 +565,10 @@ class JointModel:
         self.ids = {tok: i for i, tok in enumerate(self.tokens)}
         if EOS not in self.ids or (order > 1 and BOS not in self.ids):
             raise ValueError("token table lacks the sentence boundary tokens")
-        if () not in counts or not all(ctx[1:] in counts and ctx[:-1] in counts
-                                       for ctx in counts if ctx):
-            raise ValueError("n-gram contexts not closed: the empty context, or a context "
-                             "without its first or last token, is missing")
+        if () not in counts or not all(len(ctx) < order and ctx[1:] in counts
+                                       and ctx[:-1] in counts for ctx in counts if ctx):
+            raise ValueError("n-gram contexts too long or not closed: a context has >= order "
+                             "tokens, or the empty context or a context minus an end is missing")
         self.vocab: frozenset[int] = frozenset(counts.get((), ()))
         self.tags = frozenset(self.tokens[i][1] for i in self.vocab if self.tokens[i][0] == "tag")
         # chunk ids and letters by phoneme tuple, letters in table order
@@ -582,6 +580,11 @@ class JointModel:
         self._ctx_stats: dict[tuple[int, ...], tuple[int, int]] = {
             ctx: (sum(bucket.values()), len(bucket)) for ctx, bucket in counts.items()
         }
+        # discounts[L] = n1 / (n1 + 2 n2) of the n-grams after length-L contexts
+        # seen once (n1) and twice (n2); Ney, Essen & Kneser 1994
+        seen = Counter((len(ctx), n) for ctx, bucket in counts.items() for n in bucket.values())
+        self.discounts = tuple(n1 / (n1 + 2 * n2) if n1 and n2 else _FALLBACK_DISCOUNT
+                               for n1, n2 in ((seen[k, 1], seen[k, 2]) for k in range(order)))
         # P(tokens | trained context) per (context, token tuple); the tuples
         # are chunk_index groups or single tokens, so the model bounds it
         self._probs_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, ...]] = {}
@@ -612,10 +615,10 @@ class JointModel:
             return cached
         bucket = self.counts[context]
         total, distinct = self._ctx_stats[context]
-        lam = self.discount * distinct / total
+        d = self.discounts[len(context)]
+        lam = d * distinct / total
         lower = (self._probs(context[1:], tokens) if context
                  else (1.0 / len(self.vocab),) * len(tokens))
-        d = self.discount
         value = self._probs_cache[key] = tuple(
             max(bucket.get(tok, 0) - d, 0.0) / total + lam * low for tok, low in zip(tokens, lower))
         return value
@@ -656,7 +659,6 @@ class JointModel:
             "format": _FORMAT,
             "version": _VERSION,
             "order": self.order,
-            "discount": self.discount,
             "tokens": self.tokens,
             "ngrams": sorted([*ctx, tok, cnt] for ctx, bucket in self.counts.items()
                              for tok, cnt in bucket.items()),
@@ -691,13 +693,13 @@ class JointModel:
                 ctx = tuple(ctx)
                 bucket = counts.get(ctx)
                 if bucket is None:
-                    if len(ctx) >= doc["order"] or not all(_is_id(i, len(tokens)) for i in ctx):
-                        raise ValueError(f"n-gram context too long or not token ids: {row}")
+                    if not all(_is_id(i, len(tokens)) for i in ctx):
+                        raise ValueError(f"n-gram context not token ids: {row}")
                     bucket = counts[ctx] = {}
                 if not (_is_id(tok, len(tokens)) and _is_id(cnt) and cnt and tok not in bucket):
                     raise ValueError(f"bad token id, count or repeated n-gram: {row}")
                 bucket[tok] = cnt
-            return cls(doc["order"], doc["discount"], tokens, counts)
+            return cls(doc["order"], tokens, counts)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a readable model file "
                              f"({type(exc).__name__}: {exc})") from None
@@ -721,21 +723,19 @@ def train(
     lex: Lexicon,
     order: int = 6,
     em_iterations: int = 6,
-    discount: float = 0.75,
     scripts: ScriptTable | None = None,
 ) -> JointModel:
     """Train on a lexicon, each entry tagged with its language and script."""
     if len(lex) == 0:
         raise EmptyLexiconError("cannot train on an empty lexicon")
     rows = [(lang_script_tag(e, scripts), e.ipa, e.grapheme) for e in lex]
-    return train_tagged(rows, order, em_iterations, discount)
+    return train_tagged(rows, order, em_iterations)
 
 
 def train_tagged(
     rows: Sequence[tuple[str, IpaString, str]],
     order: int = 6,
     em_iterations: int = 6,
-    discount: float = 0.75,
 ) -> JointModel:
     """Train from pre-tagged (tag, ipa, target) rows, e.g. an augmented
     training stream: fit the chunk aligner by EM, then count tagged joint
@@ -743,7 +743,7 @@ def train_tagged(
     if not rows:
         raise EmptyLexiconError("cannot train on an empty example stream")
     # bad settings fail here, not after EM; fit itself rejects em_iterations < 1
-    _check_order_discount(order, discount)
+    _check_order(order)
     aligner = ChunkAligner()
     stats = aligner.fit([(tuple(seg.text for seg in ipa.segments), target)
                          for _, ipa, target in rows], iterations=em_iterations)
@@ -763,7 +763,7 @@ def train_tagged(
                 bucket[target] = bucket.get(target, 0) + 1
     stats["alignment_failures"] = len(rows) - len(streams)
     stats["trained_on"] = len(streams)
-    return JointModel(order, discount, tokens, counts, stats)
+    return JointModel(order, tokens, counts, stats)
 
 
 def effective_beam_width(n_best: int, beam_width: int | None = None) -> int:

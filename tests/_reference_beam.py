@@ -3,10 +3,11 @@ hypothesis of a round in full before it keeps the best, with the recursive
 scalar n-gram probability, independent of beam_decode's pruning and of
 JointModel's caches.
 
-It reads the model's data only (order, discount, token ids, counts, tags,
-vocabulary, chunk index) and calls none of its methods. `beam_decode` must
-return the candidate lists of polyipa.model.beam_decode, scores equal as
-floats, and `prob` must equal JointModel.prob bit for bit.
+It reads the model's data only (order, token ids, counts, tags, vocabulary,
+chunk index), counts the discounts itself, and calls none of the model's
+methods. `beam_decode` must return the candidate lists of
+polyipa.model.beam_decode, scores equal as floats, and `prob` must equal
+JointModel.prob bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +17,18 @@ import warnings
 
 from polyipa.errors import UnknownTagWarning
 from polyipa.model import BOS, EOS, Candidate, _tag_token
+
+
+def discount(model, length, cache):
+    """n1 / (n1 + 2 n2) of the n-grams after contexts of this length seen
+    once (n1) and twice (n2), or 0.75 where either is 0; memoized in cache."""
+    key = ("discount", length)
+    if key not in cache:
+        seen = [n for ctx, bucket in model.counts.items() if len(ctx) == length
+                for n in bucket.values()]
+        n1, n2 = seen.count(1), seen.count(2)
+        cache[key] = n1 / (n1 + 2 * n2) if n1 and n2 else 0.75
+    return cache[key]
 
 
 def prob(model, token, context, cache):
@@ -34,8 +47,9 @@ def prob(model, token, context, cache):
         value = uniform
     else:
         total, distinct = sum(bucket.values()), len(bucket)
-        hi = max(bucket.get(token, 0) - model.discount, 0.0) / total
-        lam = model.discount * distinct / total
+        d = discount(model, len(context), cache)
+        hi = max(bucket.get(token, 0) - d, 0.0) / total
+        lam = d * distinct / total
         value = hi + lam * (prob(model, token, context[1:], cache) if context else uniform)
     cache[key] = value
     return value

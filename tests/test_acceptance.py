@@ -53,7 +53,7 @@ from polyipa import (
     top_n_wer,
     train,
 )
-from polyipa.metrics import Candidate, EvalItem
+from polyipa.metrics import Candidate, EvalItem, stratify
 
 # pinned bounds
 DISTANCE_TIME_LIMIT = 60.0
@@ -240,6 +240,16 @@ def test_criterion_05_metric_contracts():
             item = EvalItem("eo", "<eo>", parse_ipa("kat"), reference, cands)
             wers = [top_n_wer(item, n)[0] for n in range(1, len(cands) + 2)]
             assert all(x >= y for x, y in zip(wers, wers[1:])), wers
+            top_cer = stratify([item], ns=range(1, len(cands) + 2)).overall.top_cer
+            cers = [top_cer[n] for n in range(1, len(cands) + 2)]
+            assert all(x >= y for x, y in zip(cers, cers[1:])), cers
+
+        # the best CER of "kat" among kot, kat is 1/3 at top 1 and 0 at top 3;
+        # that of "mit" among mat, tap is 1/3 at both
+        items = [EvalItem("eo", "<eo>", parse_ipa(ref), ref, tuple(Candidate(g, -float(i))
+                          for i, g in enumerate(graphs, start=1)))
+                 for ref, graphs in (("kat", ("kot", "kat")), ("mit", ("mat", "tap")))]
+        assert stratify(items, ns=(1, 3)).overall.top_cer == {1: 1 / 3, 3: 1 / 6}
 
 
 # criterion 6: the cleaning pipeline removes exactly the planted rows

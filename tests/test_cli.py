@@ -102,6 +102,7 @@ def test_eval_report_covers_test_set(pipeline):
     assert payload["overall"]["n_samples"] == 30
     assert payload["languages"][0]["lang"] == "eo"
     assert set(payload["overall"]["top_wer"]) == {"1", "3", "5"}
+    assert set(payload["overall"]["top_cer"]) == {"1", "3", "5"}
     assert pipeline["eval_csv"].read_text(encoding="utf-8").startswith("lang,")
 
 
@@ -109,7 +110,7 @@ def test_report_renders_table(pipeline, capsys):
     assert run_cli(["report", "--input", str(pipeline["eval_report"])]) == 0
     out = capsys.readouterr().out
     assert "overall" in out
-    assert "top1_wer" in out
+    assert "top1_wer" in out and "top3_cer" in out
 
 
 def test_retrain_and_repredict_are_byte_identical(pipeline):
@@ -458,7 +459,9 @@ def test_bad_config_exits_one(tmp_path, monkeypatch, capsys):
     lambda doc: {**doc, "overall": {**doc["overall"], "top_wer": []}},
     lambda doc: {**doc, "languages": [{**doc["languages"][0], "top_wer": {}}]},
     lambda doc: {**doc, "languages": [{**doc["languages"][0], "lang": None}]},
-], ids=["missing-field", "top-wer-list", "top-wer-keys-differ", "lang-null"])
+    lambda doc: {**doc, "overall": {**doc["overall"], "top_cer": {"1": 0.5}}},
+], ids=["missing-field", "top-wer-list", "top-wer-keys-differ", "lang-null",
+        "top-cer-keys-differ"])
 def test_report_rejects_a_malformed_report(pipeline, tmp_path, capsys, mutate):
     doc = json.loads(pipeline["eval_report"].read_text(encoding="utf-8"))
     bad = tmp_path / "bad.json"

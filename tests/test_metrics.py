@@ -234,7 +234,7 @@ def test_report_csv_roundtrip(tmp_path):
     report.write_csv(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == ("lang,n_samples,cer_mean,cer_std,bleu_mean,"
-                        "exact_match_rate,top1_wer,top3_wer,"
+                        "exact_match_rate,top1_wer,top3_wer,top1_cer,top3_cer,"
                         "mean_best_beam_position")
     assert len(lines) == 1 + len(report.rows) + 1  # header, rows, overall
     overall_cells = lines[-1].split(",")

@@ -281,11 +281,10 @@ def test_train_rejects_bad_settings_before_em(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(ChunkAligner, "fit", no_em)
-        for bad in ({"order": 0}, {"discount": 0.0}, {"discount": 1.0}):
-            with pytest.raises(ValueError):
-                train(lex, **bad)
-            with pytest.raises(ValueError):
-                train_tagged(rows, **bad)
+        with pytest.raises(ValueError):
+            train(lex, order=0)
+        with pytest.raises(ValueError):
+            train_tagged(rows, order=0)
     with pytest.raises(ValueError, match="iterations must be >= 1"):
         train(lex, em_iterations=0)
     with pytest.raises(ValueError, match="iterations must be >= 1"):
@@ -312,12 +311,44 @@ def test_every_exported_name_resolves():
         assert not missing, f"{module.__name__}.__all__ names missing {missing}"
 
 
+def _hand_counted_model():
+    """An order-3 model over a hand-built table. Its n-grams seen once and
+    twice number 1 and 1 after the empty context, 3 and 2 after 1-token
+    contexts, and 3 and 0 after 2-token contexts."""
+    tokens = [("</s>",), ("<s>",), ("chunk", ("a",), "a"), ("chunk", ("b",), "b"), ("tag", "<x>")]
+    eos, bos, a, b, tag = range(5)
+    counts = {
+        (): {eos: 3, a: 5, b: 1, tag: 2},
+        (bos,): {tag: 2},
+        (tag,): {a: 1, b: 1},
+        (a,): {eos: 2, a: 1},
+        (bos, tag): {a: 1, b: 1},
+        (tag, a): {eos: 1},
+    }
+    return JointModel(3, tokens, counts)
+
+
+def test_discounts_are_estimated_per_context_length():
+    model = _hand_counted_model()
+    assert [d.hex() for d in model.discounts] == [
+        (1 / (1 + 2 * 1)).hex(), (3 / (3 + 2 * 2)).hex(), (0.75).hex()]
+    assert all(0.0 < d < 1.0 for d in model.discounts)
+    # order 2 has no discounts[2] for the table's 2-token contexts
+    with pytest.raises(ValueError, match="too long"):
+        JointModel(2, model.tokens, model.counts)
+    # a trained model's lengths are all estimated, each in (0, 1)
+    trained = train(shallow_lexicon(150, seed=22), order=6)
+    assert len(trained.discounts) == 6 and 0.75 not in trained.discounts
+    assert all(0.0 < d < 1.0 for d in trained.discounts)
+
+
 def test_conditionals_sum_to_one():
-    model = train(shallow_lexicon(150, seed=22), order=3)
-    contexts = sorted(model.counts, key=repr)[:25]
-    for ctx in contexts:
-        total = sum(model.prob(tok, ctx) for tok in model.vocab)
-        assert total == pytest.approx(1.0, abs=1e-9)
+    # the hand-counted table's length-2 contexts take the fallback discount
+    for model in (train(shallow_lexicon(150, seed=22), order=3), _hand_counted_model()):
+        contexts = sorted(model.counts, key=repr)[:25]
+        for ctx in contexts:
+            total = sum(model.prob(tok, ctx) for tok in model.vocab)
+            assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_unseen_context_backs_off_and_sums_to_one():
@@ -547,11 +578,12 @@ def test_save_load_preserves_decoding(tmp_path):
     assert loaded.order == model.order
     assert loaded.tags == model.tags
     assert loaded.counts == model.counts
-    assert loaded.discount.hex() == model.discount.hex()
+    assert [d.hex() for d in loaded.discounts] == [d.hex() for d in model.discounts]
     assert loaded.vocab == model.vocab
     assert loaded.tokens == model.tokens
     doc = json.loads(path.read_text(encoding="utf-8"))
-    assert set(doc) == {"format", "version", "order", "discount", "tokens", "ngrams"}
+    assert set(doc) == {"format", "version", "order", "tokens", "ngrams"}
+    assert doc["version"] == 4
     for probe in ("pato", "shilo", "chama"):
         ipa = parse_ipa(probe)
         a = beam_decode(model, "<eo>", ipa, n_best=3)
@@ -589,9 +621,9 @@ def test_load_rejects_other_files(tmp_path):
         JointModel.load(path)
 
 
-@pytest.mark.parametrize("case", ["v1-lines", "v2-document", "other-format", "other-version",
-                                  "truncated", "no-ngrams", "negative-id", "negative-count",
-                                  "fractional-count", "long-context", "repeated-ngram",
+@pytest.mark.parametrize("case", ["v1-lines", "v2-document", "version-3", "other-format",
+                                  "other-version", "truncated", "no-ngrams", "negative-id",
+                                  "negative-count", "fractional-count", "long-context", "repeated-ngram",
                                   "bool-order", "context-id-past-table", "token-id-past-table",
                                   "unsorted-tokens", "no-eos", "chunk-letters-not-str",
                                   "chunk-phonemes-not-str", "tag-name-not-str", "unknown-token",
@@ -610,6 +642,8 @@ def test_load_rejects_malformed_documents(tmp_path, case, capsys):
     else:
         if case == "v2-document":
             doc.update(version=2, tags=["<eo>"], chunks=[[["p"], "p", 1.0]])
+        elif case == "version-3":
+            doc.update(version=3, discount=0.75)  # the fixed discount of version 3
         elif case == "other-format":
             doc["format"] = "another-model"
         elif case == "other-version":
