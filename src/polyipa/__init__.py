@@ -2,7 +2,7 @@
 
 IPA normalization, segmentation, and validation; articulatory feature
 distances and embeddings; pronunciation-lexicon cleaning; sound-alike pair
-mining; a trainable joint-sequence baseline with n-best beam decoding; and a
+mining; a trainable joint-sequence baseline with n-best stack decoding; and a
 stratified evaluation harness. One CLI (`polyipa`) drives the pipeline.
 """
 
@@ -77,7 +77,6 @@ from .model import (
     ChunkAligner,
     JointModel,
     beam_decode,
-    effective_beam_width,
     load_external_candidates,
     train,
     train_tagged,
@@ -136,8 +135,8 @@ __all__ = [
     "write_embeddings_tsv", "write_pairs_tsv",
     # model
     "Candidate", "ChunkAligner", "JointModel", "beam_decode",
-    "effective_beam_width", "load_external_candidates", "train",
-    "train_tagged", "write_candidates_tsv",
+    "load_external_candidates", "train", "train_tagged",
+    "write_candidates_tsv",
     # metrics
     "EvalItem", "EvalReport", "MetricsRow", "cer", "char_bleu",
     "exact_match", "levenshtein", "report_from_json", "stratify", "top_n_wer",

@@ -9,6 +9,7 @@ for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -40,7 +41,6 @@ from .mining import (
 from .model import (
     JointModel,
     beam_decode,
-    effective_beam_width,
     load_external_candidates,
     train,
     train_tagged,
@@ -234,14 +234,14 @@ def cmd_predict(args, cfg: PipelineConfig, res: Resources) -> int:
     blocks = []
     empty = 0
     for (tag, ipa_text), ipa in queries.items():
-        cands = beam_decode(model, tag, ipa, cfg.n_best, cfg.beam_width)
+        cands = beam_decode(model, tag, ipa, cfg.n_best)
         empty += not cands
         blocks.append((tag, ipa_text, cands))
     write_candidates_tsv(args.output, blocks)
     if empty:
         print(f"warning: {empty} inputs decoded to no candidates", file=sys.stderr)
     _summary(f"predict: {len(queries)} inputs, n_best {cfg.n_best}, "
-             f"beam width {effective_beam_width(cfg.n_best, cfg.beam_width)}, "
+             f"beam width {3 * cfg.n_best}, "
              f"{empty} without candidates", args.output)
     return 0
 
@@ -264,7 +264,7 @@ def cmd_eval(args, cfg: PipelineConfig, res: Resources) -> int:
     if skipped:
         print(f"warning: {skipped} test entries had no candidates and were skipped",
               file=sys.stderr)
-    report = stratify(items, ns)
+    report = dataclasses.replace(stratify(items, ns), no_candidates=skipped)
     _write_json(args.report, report.to_json())
     if args.csv:
         report.write_csv(args.csv)
@@ -293,6 +293,7 @@ def cmd_report(args, cfg: PipelineConfig, res: Resources) -> int:
         cells += [f"{row.top_cer[n]:.4f}" for n in rep.ns]
         cells.append(f"{row.mean_best_beam_position:.2f}")
         _summary("  ".join(f"{c:>10}" for c in cells), args.csv)
+    _summary(f"{rep.no_candidates} test entries without candidates, not in the means", args.csv)
     return 0
 
 
@@ -367,7 +368,6 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True,
                    help="lexicon TSV or tag<TAB>ipa lines")
     p.add_argument("--n-best", help="candidates per input")
-    p.add_argument("--beam-width", help="beam width (default 3 times n-best)")
     p.add_argument("--output", required=True, help="candidates TSV")
     p.set_defaults(func=cmd_predict)
 

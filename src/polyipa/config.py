@@ -70,14 +70,11 @@ class PipelineConfig:
     model_order: int = 6
     em_iterations: int = 6
     n_best: int = 1
-    beam_width: int | None = None
 
     def __post_init__(self):
         for key in ("model_order", "em_iterations", "n_best"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
-        if self.beam_width is not None and self.beam_width < 1:
-            raise ConfigError("beam_width must be >= 1 when given")
 
     def resources(self) -> Resources:
         """Load every referenced table, falling back to packaged data."""

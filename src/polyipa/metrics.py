@@ -158,16 +158,19 @@ class MetricsRow:
 
 @dataclass
 class EvalReport:
-    """Per-language rows plus a pooled overall row."""
+    """Per-language rows plus a pooled overall row, and the number of test
+    entries left out of them for having no candidates."""
 
     rows: list[MetricsRow]
     overall: MetricsRow
     ns: tuple[int, ...] = (1, 3, 5)
+    no_candidates: int = 0
 
     def to_json(self) -> str:
         payload = {
             "overall": self.overall.to_dict(),
             "languages": [row.to_dict() for row in self.rows],
+            "no_candidates": self.no_candidates,
         }
         return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
 
@@ -271,6 +274,9 @@ def _row_from_dict(payload: dict) -> MetricsRow:
 def report_from_json(text: str) -> EvalReport:
     """Inverse of EvalReport.to_json."""
     payload = json.loads(text)
+    no_candidates = payload["no_candidates"]
+    if not (type(no_candidates) is int and no_candidates >= 0):
+        raise ValueError(f"no_candidates {no_candidates!r} is not a count")
     overall = _row_from_dict(payload["overall"])
     rows = [_row_from_dict(r) for r in payload["languages"]]
     ns = tuple(sorted(overall.top_wer))
@@ -278,4 +284,4 @@ def report_from_json(text: str) -> EvalReport:
         if tuple(sorted(row.top_wer)) != ns or tuple(sorted(row.top_cer)) != ns:
             raise ValueError(f"row {row.lang}: top_wer or top_cer keys differ from "
                              f"the overall top_wer {list(ns)}")
-    return EvalReport(rows=rows, overall=overall, ns=ns)
+    return EvalReport(rows=rows, overall=overall, ns=ns, no_candidates=no_candidates)

@@ -1,14 +1,19 @@
-"""Joint-sequence n-gram phoneme-to-grapheme model with n-best beam decoding.
+"""Joint-sequence n-gram phoneme-to-grapheme model with n-best stack decoding.
 
 Training entries are chunk-aligned by EM (chunk shapes up to 2 phonemes by
 2 graphemes, never 0:0) and chunked by Viterbi over the same compiled
 lattices, then an n-gram model interpolated by absolute discounting, with
-discounts per context length, is counted over token streams of the form
+discounts per context length, is counted over the chunks and EOS of each
+entry, each predicted after a context of the form
 
-    [BOS ... BOS, <lang tag>, chunk, chunk, ..., EOS]
+    (h_-k, ..., h_-1, <lang tag>),  k <= order - 2
 
-Decoding walks the input segments left to right, proposing trained chunks,
-and keeps the usual breadth-limited beam with early stopping.
+where the history h is BOS ... BOS, chunk, chunk, ..., so that the tag is
+the last token of every context and is never predicted.
+
+Decoding keeps one stack of hypotheses per number of input segments
+consumed, filled left to right with the chunks trained under the query's
+tag (Koehn 2004, *Pharaoh*; Bisani & Ney 2008).
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ __all__ = [
     "train",
     "train_tagged",
     "beam_decode",
-    "effective_beam_width",
     "load_external_candidates",
     "write_candidates_tsv",
 ]
@@ -58,7 +62,7 @@ EOS: Token = ("</s>",)
 
 _MAX_RATIO = 4
 _FORMAT = "polyipa-joint-model"
-_VERSION = 4
+_VERSION = 5
 _FIELDS = frozenset({"format", "version", "order", "tokens", "ngrams"})
 _FALLBACK_DISCOUNT = 0.75  # JointModel.discounts[L] where its n1 or n2 is 0
 # training rows per compiled block of EM lattices
@@ -511,21 +515,43 @@ def _check_order(order: int) -> None:
 
 
 class _Window:
-    """The chunks decode can add at one input position: those of the
-    chunk_index keys of 0, 1 and 2 phonemes found there. Their scores after
-    a context do not depend on the query, so one window serves them all."""
+    """The chunks decode can add at one input position: those of one chunk
+    index's keys of 0, 1 and 2 phonemes found there. Their scores after a
+    context do not depend on the query, so one window serves them all."""
 
     __slots__ = ("groups", "entries", "scored")
 
     def __init__(self, keys: tuple[tuple[str, ...], ...],
-                 chunk_index: dict[tuple[str, ...], list[tuple[int, str]]]):
+                 chunks: dict[tuple[str, ...], list[tuple[int, str]]]):
         # the token ids of each key, as _probs scores them
-        self.groups = tuple(tuple(tok for tok, _ in chunk_index[key]) for key in keys)
+        self.groups = tuple(tuple(tok for tok, _ in chunks[key]) for key in keys)
         # (phonemes consumed, token id, letters) of every chunk, in group order
         self.entries = tuple((len(key), tok, letters) for key in keys
-                             for tok, letters in chunk_index[key])
+                             for tok, letters in chunks[key])
         # per trained context: JointModel._expansions
-        self.scored: dict[tuple[int, ...], tuple[tuple[float, int, int, str], ...]] = {}
+        self.scored: dict[tuple[int, ...], tuple[tuple[tuple[float, int, str], ...], ...]] = {}
+
+
+class _Index:
+    """The chunks decode offers, by phoneme tuple, and the windows of their
+    keys that decode has used."""
+
+    __slots__ = ("chunks", "windows")
+
+    def __init__(self, chunks: dict[tuple[str, ...], list[tuple[int, str]]]):
+        self.chunks = chunks
+        self.windows: dict[tuple[tuple[str, ...], ...], _Window] = {}
+
+    def window(self, segs: tuple[str, ...], pos: int) -> _Window | None:
+        """The window of the keys found at pos, None where no chunk starts."""
+        keys = tuple(segs[pos:pos + plen] for plen in range(min(3, len(segs) + 1 - pos))
+                     if segs[pos:pos + plen] in self.chunks)
+        if not keys:
+            return None
+        window = self.windows.get(keys)
+        if window is None:
+            window = self.windows[keys] = _Window(keys, self.chunks)
+        return window
 
 
 class JointModel:
@@ -535,14 +561,18 @@ class JointModel:
     n-gram counts, contexts and vocabulary refer to them by their index in it.
     Absolute discounting, by discounts[L] in (0, 1) after a length-L context,
     recurses to a uniform distribution over the observed vocabulary, so every
-    conditional distribution sums to one. Every trained token is counted under
-    the empty context, so that bucket holds the vocabulary and the trained tags.
+    conditional distribution sums to one. Every predicted token is counted
+    under the empty context, so that bucket holds the vocabulary; the trained
+    tags are the tags of the table.
 
-    The trained contexts are closed under dropping their first or their last
-    token, as counting every n-gram order of a stream makes them: _probs
-    backs off along context[1:], and decode's state, the longest trained
-    suffix of a history, is the longest trained suffix of the previous
-    state plus one token. The constructor rejects any other table.
+    Every other context ends in a tag, and the contexts are closed under
+    dropping their first token and under dropping their last history token
+    (ctx[:-2] + ctx[-1:]), as counting every n-gram order of a stream makes
+    them: _probs backs off along context[1:], dropping the oldest history
+    first and the tag last, and decode's state, the longest trained suffix
+    of a history, is the longest trained suffix of the previous state's
+    history plus one token, then the tag. The constructor rejects any other
+    table.
     """
 
     def __init__(
@@ -563,14 +593,17 @@ class JointModel:
         if any(a >= b for a, b in zip(tokens, tokens[1:])):
             raise ValueError("token table not sorted or not distinct")
         self.ids = {tok: i for i, tok in enumerate(self.tokens)}
-        if EOS not in self.ids or (order > 1 and BOS not in self.ids):
+        if EOS not in self.ids or (order > 2 and BOS not in self.ids):
             raise ValueError("token table lacks the sentence boundary tokens")
-        if () not in counts or not all(len(ctx) < order and ctx[1:] in counts
-                                       and ctx[:-1] in counts for ctx in counts if ctx):
-            raise ValueError("n-gram contexts too long or not closed: a context has >= order "
-                             "tokens, or the empty context or a context minus an end is missing")
+        if () not in counts or not all(
+                len(ctx) < order and tokens[ctx[-1]][0] == "tag" and ctx[1:] in counts
+                and ctx[:-2] + ctx[-1:] in counts for ctx in counts if ctx):
+            raise ValueError("n-gram contexts too long, not ending in a tag or not closed: a "
+                             "context has >= order tokens or a last token that is not a tag, or "
+                             "the empty context or a context minus its first or its last "
+                             "history token is missing")
         self.vocab: frozenset[int] = frozenset(counts.get((), ()))
-        self.tags = frozenset(self.tokens[i][1] for i in self.vocab if self.tokens[i][0] == "tag")
+        self.tags = frozenset(tok[1] for tok in self.tokens if tok[0] == "tag")
         # chunk ids and letters by phoneme tuple, letters in table order
         self.chunk_index: dict[tuple[str, ...], list[tuple[int, str]]] = {}
         for i in sorted(self.vocab):
@@ -586,10 +619,12 @@ class JointModel:
         self.discounts = tuple(n1 / (n1 + 2 * n2) if n1 and n2 else _FALLBACK_DISCOUNT
                                for n1, n2 in ((seen[k, 1], seen[k, 2]) for k in range(order)))
         # P(tokens | trained context) per (context, token tuple); the tuples
-        # are chunk_index groups or single tokens, so the model bounds it
+        # are chunk groups of an index below or single tokens, so the model
+        # bounds it
         self._probs_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, ...]] = {}
-        # decode's scored chunks per window of chunk_index keys, for all queries
-        self._windows: dict[tuple[tuple[str, ...], ...], _Window] = {}
+        # decode's chunk index per tag id, None for chunk_index, each with
+        # its scored windows for all queries
+        self._indexes: dict[int | None, _Index] = {}
 
     def prob(self, token: int, context: Sequence[int]) -> float:
         """P(token | context) of token ids. An unseen history puts full
@@ -623,24 +658,39 @@ class JointModel:
             max(bucket.get(tok, 0) - d, 0.0) / total + lam * low for tok, low in zip(tokens, lower))
         return value
 
-    def _window(self, keys: tuple[tuple[str, ...], ...]) -> _Window:
-        window = self._windows.get(keys)
-        if window is None:
-            window = self._windows[keys] = _Window(keys, self.chunk_index)
-        return window
+    def _index(self, tag_id: int | None) -> _Index:
+        """The chunks counted after the context (tag_id,), or all of
+        chunk_index for None."""
+        index = self._indexes.get(tag_id)
+        if index is None:
+            chunks = self.chunk_index
+            if tag_id is not None:
+                trained = self.counts[(tag_id,)]
+                chunks = {key: kept for key, group in chunks.items()
+                          if (kept := [(tok, letters) for tok, letters in group
+                                       if tok in trained])}
+            index = self._indexes[tag_id] = _Index(chunks)
+        return index
 
     def _expansions(self, context: tuple[int, ...],
-                    window: _Window) -> tuple[tuple[float, int, int, str], ...]:
-        """(log-probability, phonemes consumed, token id, letters) of each
-        of a window's chunks after a trained context, best first."""
+                    window: _Window) -> tuple[tuple[tuple[float, int, str], ...], ...]:
+        """(log-probability, token id, letters) of a window's chunks after a
+        trained context, split by phonemes consumed (0, 1, 2), best first."""
         rows = window.scored.get(context)
         if rows is None:
             # math.log, not np.log, whose rounding may differ
             logs = [math.log(p) for group in window.groups for p in self._probs(context, group)]
-            rows = window.scored[context] = tuple(sorted(
-                [(lp, *entry) for lp, entry in zip(logs, window.entries)],
-                key=itemgetter(0), reverse=True))
+            split: tuple[list, list, list] = ([], [], [])
+            for lp, (plen, tok, letters) in zip(logs, window.entries):
+                split[plen].append((lp, tok, letters))
+            rows = window.scored[context] = tuple(
+                tuple(sorted(part, key=itemgetter(0), reverse=True)) for part in split)
         return rows
+
+    def _next_state(self, context: tuple[int, ...], token: int) -> tuple[int, ...]:
+        """The longest trained suffix of a state's history plus token, then
+        its tag; the empty state stays empty."""
+        return self._trained_suffix(context[:-1] + (token,) + context[-1:]) if context else ()
 
     def log_prob(self, token: int, context: Sequence[int]) -> float:
         return math.log(self.prob(token, context))
@@ -747,28 +797,27 @@ def train_tagged(
     aligner = ChunkAligner()
     stats = aligner.fit([(tuple(seg.text for seg in ipa.segments), target)
                          for _, ipa, target in rows], iterations=em_iterations)
-    streams = [[BOS] * (order - 1) + [_tag_token(tag), *map(_chunk_token, chunks), EOS]
+    # each row's history, from order - 2 BOS to EOS, and its tag; the tokens
+    # after the BOS are predicted, each after its history's last order - 2
+    # or fewer tokens followed by the tag
+    streams = [([BOS] * max(order - 2, 0) + [*map(_chunk_token, chunks), EOS], _tag_token(tag))
                for (tag, _, _), chunks in zip(rows, aligner.viterbi()) if chunks is not None]
     if not streams:
         raise EmptyLexiconError("no entry could be aligned")
-    tokens = sorted(set().union(*streams))
+    tokens = sorted(set().union(*(history + [tag] for history, tag in streams)))
     ids = {tok: i for i, tok in enumerate(tokens)}
     counts: dict[tuple[int, ...], dict[int, int]] = {}
-    for row in streams:
-        stream = [ids[tok] for tok in row]
-        for t in range(order - 1, len(stream)):
+    for history, tag in streams:
+        stream = [ids[tok] for tok in history]
+        tag_id = (ids[tag],)
+        for t in range(max(order - 2, 0), len(stream)):
             target = stream[t]
-            for n in range(1, order + 1):
-                bucket = counts.setdefault(tuple(stream[t - n + 1:t]), {})
+            for ctx in [()] + [tuple(stream[t - k:t]) + tag_id for k in range(order - 1)]:
+                bucket = counts.setdefault(ctx, {})
                 bucket[target] = bucket.get(target, 0) + 1
     stats["alignment_failures"] = len(rows) - len(streams)
     stats["trained_on"] = len(streams)
     return JointModel(order, tokens, counts, stats)
-
-
-def effective_beam_width(n_best: int, beam_width: int | None = None) -> int:
-    """The beam width decode will use: explicit, else 3x the request size."""
-    return beam_width if beam_width is not None else 3 * n_best
 
 
 def beam_decode(
@@ -778,93 +827,123 @@ def beam_decode(
     n_best: int,
     beam_width: int | None = None,
 ) -> list[Candidate]:
-    """Breadth-limited n-best search over trained chunks.
+    """The n_best best spellings of one input by stack decoding.
 
-    Hypotheses finalize by paying the EOS probability once all input segments
-    are consumed; the search stops early when n_best surfaces are finalized
-    and the best active hypothesis can no longer beat the worst kept one
-    (scores only decrease as log probabilities accumulate). Output length is
-    bounded by 3 x segments + 5 characters.
+    Stack q holds hypotheses that have consumed q input segments, each a
+    log-probability, a state (the longest trained context of its history)
+    and a surface; of hypotheses with one state and surface only the best
+    is kept. Stack q is filled from the 1-phoneme chunks after stack q - 1
+    and the 2-phoneme chunks after stack q - 2, then takes in 0-phoneme
+    chunks after its own hypotheses until none enters. Surfaces are bounded
+    by 3 x segments + 5 characters, and EOS is paid on the last stack.
 
-    Each round keeps the beam_width best expansions, ties broken by surface,
-    then position. It scores first and builds last: each hypothesis reads
-    its chunks' log-probabilities, sorted, from the model's cache for its
-    longest trained context and input position; one lazy merge of those
-    lists picks the beam_width best expansions that fit, with any tied with
-    the last, and only these become hypotheses (the histogram pruning of
-    stack decoders; Koehn 2004).
+    A stack keeps the beam_width (3 x n_best by default) best hypotheses,
+    ties broken by surface, then state (the histogram pruning of stack
+    decoders; Koehn 2004). Each hypothesis reads its chunks'
+    log-probabilities, sorted, from the model's cache for its state and
+    input position, and one lazy merge of those lists builds only the
+    hypotheses that can enter the stack.
+
+    Only the chunks trained under the tag are offered, and all trained
+    chunks where those decode nothing. An unseen tag warns and decodes
+    with the empty context and all trained chunks.
     """
     if n_best < 1:
         raise ValueError("n_best must be >= 1")
     if not ipa.segments:
         raise EmptyInputError("cannot decode an empty transcription")
-    width = effective_beam_width(n_best, beam_width)
+    width = 3 * n_best if beam_width is None else beam_width
     if width < 1:
         raise ValueError("beam_width must be >= 1")
     segs = tuple(seg.text for seg in ipa.segments)
-    max_out = 3 * len(segs) + 5
-    ctx_len = model.order - 1
-    context: tuple[int, ...] = (model.ids[BOS],) * ctx_len if ctx_len else ()
+    start: tuple[int, ...] = ()
+    tag_id = None
     if tag in model.tags:
-        if ctx_len:
-            context = (context + (model.ids[_tag_token(tag)],))[-ctx_len:]
+        tag_id = model.ids[_tag_token(tag)]
+        bos = (model.ids[BOS],) * (model.order - 2) if model.order > 2 else ()
+        start = model._trained_suffix(bos + (tag_id,))
     else:
         warnings.warn(f"tag {tag!r} not seen in training; decoding untagged",
                       UnknownTagWarning, stacklevel=2)
+    if tag_id is not None and (tag_id,) in model.counts:
+        cands = _stack_search(model, model._index(tag_id), segs, start, n_best, width)
+        if cands:
+            return cands
+    return _stack_search(model, model._index(None), segs, start, n_best, width)
 
+
+# hypothesis: (log-probability, state, surface)
+_Hyp = tuple[float, tuple[int, ...], str]
+
+
+def _stack_search(model: JointModel, index: _Index, segs: tuple[str, ...],
+                  start: tuple[int, ...], n_best: int, width: int) -> list[Candidate]:
+    max_out = 3 * len(segs) + 5
+    windows = [index.window(segs, pos) for pos in range(len(segs) + 1)]
+
+    def streams(hyps: list[_Hyp], window: _Window | None, plen: int):
+        # each hyp's expansions by plen-phoneme chunks, best first
+        if window is not None:
+            for hyp in hyps:
+                rows = model._expansions(hyp[1], window)[plen]
+                if rows:
+                    yield _fitting(hyp, rows, max_out)
+
+    older: list[_Hyp] = []
+    stack: list[_Hyp] = []
+    for q in range(len(segs) + 1):
+        if q:  # stack q - 2 is empty for q = 1
+            fresh = [*streams(stack, windows[q - 1], 1), *streams(older, windows[q - 2], 2)]
+            older, (stack, new) = stack, _admit(model, [], fresh, width)
+        else:
+            stack = new = [(0.0, start, "")]
+        while new:
+            stack, new = _admit(model, stack, list(streams(new, windows[q], 0)), width)
     eos = (model.ids[EOS],)
-    index = model.chunk_index
-    # the window of every position, None where no chunk starts
-    windows = []
-    for pos in range(len(segs) + 1):
-        keys = tuple(segs[pos:pos + plen] for plen in range(min(3, len(segs) + 1 - pos))
-                     if segs[pos:pos + plen] in index)
-        windows.append(model._window(keys) if keys else None)
-
-    def fitting(hyp, rows, room):
-        # (log_prob, hyp, phonemes, token, letters) of hyp's expansions that fit
-        for s, plen, tok, letters in rows:
-            if len(letters) <= room:
-                yield hyp[0] + s, hyp, plen, tok, letters
-
-    # hypothesis: (log_prob, consumed segments, longest trained context, surface);
-    # that context is the state: the longest trained suffix of a history is
-    # that of its hypothesis's context plus the new token
-    active: list[tuple[float, int, tuple[int, ...], str]] = [
-        (0.0, 0, model._trained_suffix(context), "")]
-    finalized: dict[str, float] = {}
-    max_rounds = len(segs) + max_out + 2
-    for _ in range(max_rounds):
-        streams = []
-        for hyp in active:
-            lp, pos, ctx, out = hyp
-            if pos == len(segs):
-                flp = lp + math.log(model._probs(ctx, eos)[0])
-                prev = finalized.get(out)
-                if prev is None or flp > prev:
-                    finalized[out] = flp
-            if windows[pos] is not None:
-                streams.append(fitting(hyp, model._expansions(ctx, windows[pos]),
-                                       max_out - len(out)))
-        # every expansion that fits and scores at least the width-th best:
-        # the sort below keeps the same ones from these as from all, and
-        # merge is stable, so rows of equal score keep hypothesis order
-        merged = heapq.merge(*streams, key=itemgetter(0), reverse=True)
-        best = list(itertools.islice(merged, width))
-        if not best:
-            break
-        last = best[-1][0]
-        best.extend(itertools.takewhile(lambda row: row[0] == last, merged))
-        expanded = [(lp2, pos + plen, model._trained_suffix(ctx + (tok,)), out + letters)
-                    for lp2, (_, pos, ctx, out), plen, tok, letters in best]
-        expanded.sort(key=lambda h: (-h[0], h[3], h[1]))
-        active = expanded[:width]
-        if len(finalized) >= n_best:
-            kth = sorted(finalized.values(), reverse=True)[n_best - 1]
-            if active[0][0] <= kth:
-                break
-    ranked = sorted(finalized.items(), key=lambda kv: (-kv[1], kv[0]))[:n_best]
+    final: dict[str, float] = {}
+    for lp, state, out in stack:
+        flp = lp + math.log(model._probs(state, eos)[0])
+        if flp > final.get(out, -math.inf):
+            final[out] = flp
+    ranked = sorted(final.items(), key=lambda kv: (-kv[1], kv[0]))[:n_best]
     return [Candidate(surface, lp) for surface, lp in ranked]
+
+
+def _fitting(hyp: _Hyp, rows, max_out: int):
+    """(log_prob, state, token, surface) of hyp's expansions by rows whose
+    surface fits in max_out characters, in row order."""
+    lp, state, out = hyp
+    room = max_out - len(out)
+    for s, tok, letters in rows:
+        if len(letters) <= room:
+            yield lp + s, state, tok, out + letters
+
+
+def _admit(model: JointModel, stack: list[_Hyp], sources: list, width: int):
+    """The width best of a stack, sorted by score, then surface, then
+    state, and the hypotheses the sources' rows make, each a sorted stream
+    of (log_prob, state, token, surface); and those of them that entered.
+
+    One merge walks the rows best first and stops below the stack's floor,
+    or below the width-th distinct new hypothesis: no row past either can
+    enter. A hypothesis is new if the stack lacks its state and surface or
+    holds them with a lower score; its first row is its best."""
+    floor = stack[width - 1][0] if len(stack) >= width else -math.inf
+    best = {(state, out): lp for lp, state, out in stack}
+    found: dict[tuple[tuple[int, ...], str], float] = {}
+    for lp, state, tok, out in heapq.merge(*sources, key=itemgetter(0), reverse=True):
+        if lp < floor:
+            break
+        key = (model._next_state(state, tok), out)
+        if key in found or best.get(key, -math.inf) >= lp:
+            continue
+        found[key] = lp
+        if len(found) == width:
+            floor = lp
+    best.update(found)
+    ranked = sorted(((lp, state, out) for (state, out), lp in best.items()),
+                    key=lambda h: (-h[0], h[2], h[1]))[:width]
+    return ranked, [h for h in ranked if (h[1], h[2]) in found]
 
 
 def write_candidates_tsv(path, blocks: Iterable[tuple[str, str, list[Candidate]]]) -> None:

@@ -4,18 +4,22 @@ Each test prints one `[criterion NN] name: PASS/FAIL` line and enforces its
 pinned tolerance and time budget. The oracles are independent of the code
 under test: memoized recursion for the distance table, exact rational
 arithmetic for the split allocation, a pure-Python two-row DP over every
-pair for mining, and brute-force enumeration for beam search.
+pair for mining, brute-force enumeration for beam search, and the
+benchmark's seeded corpus generator for the multilingual pipeline.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import itertools
 import math
 import random
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,11 +44,12 @@ from polyipa import (
     cer,
     char_bleu,
     clean,
+    cli,
     default_feature_table,
-    effective_beam_width,
     feature_edit_distance,
     lang_script_tag,
     levenshtein,
+    load_external_candidates,
     mine_soundalikes,
     normalize_text,
     parse_ipa,
@@ -64,6 +69,8 @@ AMBIG_WER_CENTER = 0.50
 AMBIG_WER_TOLERANCE = 0.05
 AMBIG_TOP2_BOUND = 0.02
 BLEU_IDENTITY_TOLERANCE = 1e-12
+MULTILINGUAL_CER_BOUND = 0.07
+MULTILINGUAL_TOP3_CER_BOUND = 0.04
 
 
 @contextmanager
@@ -323,9 +330,6 @@ def test_criterion_07_stratified_split():
 
 def test_criterion_08_beam_matches_exhaustive_argmax():
     with criterion(8, "beam equals exhaustive argmax"):
-        assert effective_beam_width(30) == 90
-        assert effective_beam_width(30, beam_width=7) == 7
-
         words = ["pa", "ta", "pat", "tap", "apa", "ata", "tapa", "pata"]
         lex = Lexicon([PronEntry("eo", w, parse_ipa(w)) for w in words])
         model = train(lex, order=2)
@@ -361,3 +365,46 @@ def test_criterion_09_idempotence(fixture_rows):
         assert len(relex) == len(lex)
         assert rereport.removed_by_rule == {}
         assert rereport.conserved
+
+
+# criterion 10: the multilingual pipeline decodes every query, near the paper's CER
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, imported from the checkout and only read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_criterion_10_multilingual_corpus(tmp_path):
+    with criterion(10, "4-language corpus decodes every query"):
+        workloads = _benchmark_workloads()
+        raw = workloads.write_p2g_inputs(tmp_path, "1/0", {"words": 1000}).files["raw"]
+        splits, model, cands = tmp_path / "splits", tmp_path / "m.json", tmp_path / "c.tsv"
+        for argv in (
+                ["clean", "--input", str(raw), "--output", str(tmp_path / "clean.tsv")],
+                ["split", "--input", str(tmp_path / "clean.tsv"), "--test", "200",
+                 "--eval", "0", "--seed", "7", "--out-dir", str(splits)],
+                ["train", "--input", str(splits / "train.tsv"), "--order", "6",
+                 "--output", str(model)],
+                ["predict", "--model", str(model), "--input", str(splits / "test.tsv"),
+                 "--n-best", "5", "--output", str(cands)]):
+            assert cli.main(argv) == 0, argv[0]
+        test = Lexicon.read_tsv(splits / "test.tsv")
+        assert len(test) == 200
+        blocks = load_external_candidates(cands)
+        empty = 0
+        total = top3 = 0.0
+        for entry in test:
+            block = blocks.get((lang_script_tag(entry), entry.ipa.text), [])
+            # an empty decode counts as CER 1
+            cers = [cer(entry.grapheme, c.grapheme) for c in block[:3]] or [1.0]
+            empty += not block
+            total += cers[0]
+            top3 += min(cers)
+        assert empty == 0
+        assert total / len(test) <= MULTILINGUAL_CER_BOUND, total / len(test)
+        assert top3 / len(test) <= MULTILINGUAL_TOP3_CER_BOUND, top3 / len(test)

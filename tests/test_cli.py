@@ -100,6 +100,7 @@ def test_candidates_cover_every_test_entry(pipeline):
 def test_eval_report_covers_test_set(pipeline):
     payload = json.loads(pipeline["eval_report"].read_text(encoding="utf-8"))
     assert payload["overall"]["n_samples"] == 30
+    assert payload["no_candidates"] == 0
     assert payload["languages"][0]["lang"] == "eo"
     assert set(payload["overall"]["top_wer"]) == {"1", "3", "5"}
     assert set(payload["overall"]["top_cer"]) == {"1", "3", "5"}
@@ -134,10 +135,6 @@ def test_predict_reports_beam_width(pipeline, tmp_path, capsys):
                     "--input", str(queries), "--n-best", "30",
                     "--output", str(out)]) == 0
     assert "n_best 30, beam width 90," in capsys.readouterr().out
-    assert run_cli(["predict", "--model", str(pipeline["model"]),
-                    "--input", str(queries), "--n-best", "30",
-                    "--beam-width", "7", "--output", str(out)]) == 0
-    assert "n_best 30, beam width 7," in capsys.readouterr().out
 
 
 def test_predict_deduplicates_queries(pipeline, tmp_path):
@@ -253,7 +250,11 @@ def test_eval_warns_on_missing_candidates(pipeline, tmp_path, capsys):
                     "--candidates", str(partial),
                     "--report", str(report)]) == 0
     assert "had no candidates" in capsys.readouterr().err
-    assert json.loads(report.read_text(encoding="utf-8"))["overall"]["n_samples"] == 1
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    assert payload["overall"]["n_samples"] == 1
+    assert payload["no_candidates"] == 29  # the other test entries of the fixture's 30
+    assert run_cli(["report", "--input", str(report)]) == 0
+    assert "29 test entries without candidates" in capsys.readouterr().out
 
 
 # auxiliary subcommands
@@ -460,8 +461,12 @@ def test_bad_config_exits_one(tmp_path, monkeypatch, capsys):
     lambda doc: {**doc, "languages": [{**doc["languages"][0], "top_wer": {}}]},
     lambda doc: {**doc, "languages": [{**doc["languages"][0], "lang": None}]},
     lambda doc: {**doc, "overall": {**doc["overall"], "top_cer": {"1": 0.5}}},
+    lambda doc: {key: value for key, value in doc.items() if key != "no_candidates"},
+    lambda doc: {**doc, "no_candidates": -1},
+    lambda doc: {**doc, "no_candidates": 1.5},
 ], ids=["missing-field", "top-wer-list", "top-wer-keys-differ", "lang-null",
-        "top-cer-keys-differ"])
+        "top-cer-keys-differ", "no-candidates-missing", "no-candidates-negative",
+        "no-candidates-fractional"])
 def test_report_rejects_a_malformed_report(pipeline, tmp_path, capsys, mutate):
     doc = json.loads(pipeline["eval_report"].read_text(encoding="utf-8"))
     bad = tmp_path / "bad.json"

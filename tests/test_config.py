@@ -49,7 +49,6 @@ per_lang_cap = 100
 model_order = 4
 em_iterations = 3
 n_best = 5
-beam_width = 12
 """)
     cfg = load(path)
     assert cfg.mining.k == 50
@@ -63,14 +62,13 @@ beam_width = 12
     assert cfg.model_order == 4
     assert cfg.em_iterations == 3
     assert cfg.n_best == 5
-    assert cfg.beam_width == 12
 
 
 def test_per_lang_cap_none_spelling(tmp_path):
     cfg = load(_write(tmp_path, "per_lang_cap = none\n"))
     assert cfg.split.per_lang_cap is None
-    cfg = load(_write(tmp_path, "beam_width =\n"))
-    assert cfg.beam_width is None
+    cfg = load(_write(tmp_path, "per_lang_cap =\n"))
+    assert cfg.split.per_lang_cap is None
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -99,8 +97,6 @@ def test_downstream_validation_becomes_config_error(tmp_path):
         load(_write(tmp_path, "model_order = 0\n"))
     with pytest.raises(ConfigError):
         load(_write(tmp_path, "n_best = 0\n"))
-    with pytest.raises(ConfigError):
-        load(_write(tmp_path, "beam_width = 0\n"))
 
 
 def test_env_overrides_file(tmp_path, monkeypatch):

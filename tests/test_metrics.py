@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -209,17 +210,19 @@ def test_report_json_roundtrip():
         _quarter_item("de", "abcd", "abcx"),
         _quarter_item("ru", "abcd", "abcd"),
     ]
-    report = stratify(items, ns=(1, 3, 5))
+    report = dataclasses.replace(stratify(items, ns=(1, 3, 5)), no_candidates=4)
     back = report_from_json(report.to_json())
     assert back.rows == report.rows
     assert back.overall == report.overall
     assert back.ns == report.ns
+    assert back.no_candidates == 4
 
 
 def test_report_json_payload_shape():
     report = stratify([_quarter_item("de", "abcd", "abcd")], ns=(1,))
     payload = json.loads(report.to_json())
-    assert set(payload) == {"overall", "languages"}
+    assert set(payload) == {"overall", "languages", "no_candidates"}
+    assert payload["no_candidates"] == 0
     assert payload["overall"]["lang"] == "overall"
     assert payload["languages"][0]["top_wer"] == {"1": 0.0}
 

@@ -17,7 +17,7 @@ import _reference_beam
 import _reference_em
 import _reference_viterbi
 import polyipa.model
-from _reference_decode import exhaustive_best
+from _reference_decode import exhaustive, exhaustive_best, ranked
 from _synth import ambiguous_lexicon, ambiguous_words, shallow_lexicon, shallow_words
 from polyipa import cli
 from polyipa import (
@@ -29,7 +29,6 @@ from polyipa import (
     Lexicon,
     PronEntry,
     beam_decode,
-    effective_beam_width,
     load_external_candidates,
     parse_ipa,
     train,
@@ -312,18 +311,18 @@ def test_every_exported_name_resolves():
 
 
 def _hand_counted_model():
-    """An order-3 model over a hand-built table. Its n-grams seen once and
-    twice number 1 and 1 after the empty context, 3 and 2 after 1-token
-    contexts, and 3 and 0 after 2-token contexts."""
-    tokens = [("</s>",), ("<s>",), ("chunk", ("a",), "a"), ("chunk", ("b",), "b"), ("tag", "<x>")]
-    eos, bos, a, b, tag = range(5)
+    """An order-3 model over a hand-built table with two tags. Its n-grams
+    seen once and twice number 1 and 1 after the empty context, 3 and 2
+    after 1-token contexts, and 3 and 0 after 2-token contexts."""
+    tokens = [("</s>",), ("<s>",), ("chunk", ("a",), "a"), ("chunk", ("b",), "b"),
+              ("tag", "<x>"), ("tag", "<y>")]
+    eos, bos, a, b, x, y = range(6)
     counts = {
-        (): {eos: 3, a: 5, b: 1, tag: 2},
-        (bos,): {tag: 2},
-        (tag,): {a: 1, b: 1},
-        (a,): {eos: 2, a: 1},
-        (bos, tag): {a: 1, b: 1},
-        (tag, a): {eos: 1},
+        (): {eos: 2, a: 5, b: 1},
+        (x,): {a: 1, b: 1, eos: 2},
+        (y,): {a: 1, eos: 2},
+        (bos, x): {a: 1, b: 1},
+        (a, x): {eos: 1},
     }
     return JointModel(3, tokens, counts)
 
@@ -340,6 +339,30 @@ def test_discounts_are_estimated_per_context_length():
     trained = train(shallow_lexicon(150, seed=22), order=6)
     assert len(trained.discounts) == 6 and 0.75 not in trained.discounts
     assert all(0.0 < d < 1.0 for d in trained.discounts)
+
+
+def test_contexts_end_in_the_tag():
+    rows = [("<aa>", parse_ipa("pata"), "pata"), ("<bb>", parse_ipa("pa"), "pa")]
+    model = train_tagged(rows, order=4)
+    tags = {model.ids[("tag", "<aa>")], model.ids[("tag", "<bb>")]}
+    assert model.tags == {"<aa>", "<bb>"}
+    assert all(ctx[-1] in tags and not tags & set(ctx[:-1]) for ctx in model.counts if ctx)
+    assert not tags & model.vocab  # a tag is never predicted
+    # <aa>'s row read back along its longest contexts: the last two tokens
+    # of its history, BOS BOS first, then the tag
+    bos, eos, aa = model.ids[("<s>",)], model.ids[("</s>",)], model.ids[("tag", "<aa>")]
+    history, letters = [bos, bos], ""
+    while history[-1] != eos:
+        (token,) = model.counts[(*history[-2:], aa)]
+        history.append(token)
+        letters += model.tokens[token][2] if token != eos else ""
+    assert letters == "pata"
+    # order 2 counts no BOS, order 1 no tag, and both still know the tags
+    for order in (1, 2):
+        low = train_tagged(rows, order=order)
+        assert ("<s>",) not in low.ids
+        assert low.tags == {"<aa>", "<bb>"}
+        assert all(len(ctx) == order - 1 for ctx in low.counts if ctx)
 
 
 def test_conditionals_sum_to_one():
@@ -360,26 +383,44 @@ def test_unseen_context_backs_off_and_sums_to_one():
 
 
 def _cache_sizes(model):
-    return (len(model._probs_cache), len(model._windows),
-            sum(len(window.scored) for window in model._windows.values()))
+    windows = [window for index in model._indexes.values() for window in index.windows.values()]
+    return (len(model._probs_cache), len(windows), sum(len(window.scored) for window in windows))
 
 
 def test_decode_caches_trained_contexts_only():
-    model = train(shallow_lexicon(150, seed=22), order=3)
-    probes = [parse_ipa(probe) for probe in ("pato", "shilo", "chama", "kemi")]
-    for ipa in probes:
-        beam_decode(model, "<eo>", ipa, n_best=5)
-    groups = {tuple(tok for tok, _ in group) for group in model.chunk_index.values()}
-    assert model._probs_cache and model._windows
+    lex = Lexicon(list(shallow_lexicon(150, seed=22))
+                  + [PronEntry("de", graph.replace("v", "w"), parse_ipa(ipa))
+                     for graph, ipa in shallow_words(60, seed=5)])
+    model = train(lex, order=3)
+    assert model.tags == {"<eo>", "<de>"}
+    probes = [parse_ipa(probe) for probe in ("pato", "ʃilo", "t͡ʃama", "kemi", "vasi")]
+    for tag in sorted(model.tags):
+        for ipa in probes:
+            beam_decode(model, tag, ipa, n_best=5)
+    groups = {tuple(tok for tok, _ in group)
+              for index in model._indexes.values() for group in index.chunks.values()}
+    # one index per tag, and all chunks (None) where a tag's chunks decode nothing
+    assert model._probs_cache and set(model._indexes) == {model.ids[("tag", tag)]
+                                                          for tag in model.tags} | {None}
     for ctx, tokens in model._probs_cache:
         assert ctx in model.counts
         assert tokens in groups or (len(tokens) == 1 and tokens[0] in model.vocab)
-    for keys, window in model._windows.items():
-        assert all(key in model.chunk_index for key in keys)
-        assert all(ctx in model.counts for ctx in window.scored)
+    for tag_id, index in model._indexes.items():
+        # a tag's index holds only chunks counted after that tag
+        trained = model.vocab if tag_id is None else model.counts[(tag_id,)]
+        assert all(tok in trained for group in index.chunks.values() for tok, _ in group)
+        assert index.windows
+        for keys, window in index.windows.items():
+            assert all(key in index.chunks for key in keys)
+            assert all(ctx in model.counts for ctx in window.scored)
+    # <de>'s w is in the model, not in <eo>'s index
+    eo = model._indexes[model.ids[("tag", "<eo>")]]
+    assert any("w" in letters for group in model.chunk_index.values() for _, letters in group)
+    assert not any("w" in letters for group in eo.chunks.values() for _, letters in group)
     sizes = _cache_sizes(model)
-    for ipa in probes:
-        beam_decode(model, "<eo>", ipa, n_best=5)
+    for tag in sorted(model.tags):
+        for ipa in probes:
+            beam_decode(model, tag, ipa, n_best=5)
     assert _cache_sizes(model) == sizes
 
 
@@ -394,30 +435,57 @@ def test_prob_matches_reference_bit_for_bit():
             assert model.prob(tok, ctx).hex() == _reference_beam.prob(model, tok, ctx, cache).hex()
 
 
-def _assert_decode_matches_reference(model, tag, probes, widths=(1, 2, 15, 200), n_bests=(1, 5)):
+def _assert_decode_matches_reference(model, tag, probes, n_bests=(1, 2, 5)):
+    """At a width no smaller than the enumerator's hypothesis count, decode
+    returns exactly the enumerator's best min(n_best, surfaces) candidates,
+    scores equal as floats. Returns the enumerated surfaces per probe."""
+    surfaces = {}
     for probe in probes:
         ipa = parse_ipa(probe)
-        for width in widths:
-            for n_best in n_bests:
-                got = beam_decode(model, tag, ipa, n_best, width)
-                assert got == _reference_beam.beam_decode(model, tag, ipa, n_best, width), \
-                    (probe, width, n_best)
+        best, visited = exhaustive(model, tag, ipa)
+        for n_best in n_bests:
+            assert beam_decode(model, tag, ipa, n_best, visited) == ranked(best, n_best), \
+                (probe, n_best)
+        surfaces[probe] = best
+    return surfaces
 
 
-@pytest.mark.parametrize("order", [1, 3, 6])
+_VARIANT = str.maketrans({"k": "c", "f": "ph", "i": "y", "v": "w"})
+
+
+def _variant_stream():
+    """Shallow words, every third also spelled with k, f, i, v as c, ph, y,
+    w: a stream that trains several spellings of 1- and 2-phoneme keys."""
+    rows = []
+    for graph, ipa in shallow_words(150, seed=22):
+        rows.append(("<eo>", parse_ipa(ipa), graph))
+        if len(rows) % 3 == 0:
+            rows.append(("<eo>", parse_ipa(ipa), graph.translate(_VARIANT)))
+    return rows
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 6])
 def test_decode_matches_reference_beam(order):
-    model = train(shallow_lexicon(150, seed=22), order=order)
-    _assert_decode_matches_reference(model, "<eo>", ("pato", "shilo", "chama", "kemiltu", "a"))
+    model = train_tagged(_variant_stream(), order=order)
+    assert len(model.chunk_index[("k", "i")]) == 2
+    with warnings.catch_warnings():
+        # a trained tag decodes without a warning, also at order 1, where
+        # no context holds it
+        warnings.simplefilter("error", UnknownTagWarning)
+        surfaces = _assert_decode_matches_reference(
+            model, "<eo>", ("kivi", "ʃilo", "t͡ʃama", "kemiltu", "fisk", "a"))
+    assert len(surfaces["kivi"]) == 4 and len(surfaces["kemiltu"]) == 4
+    assert surfaces["fisk"] == {}  # no chunk of k after s
 
 
 def _silent_letter_stream():
-    """Shallow words, each also spelled with silent letters inserted: a
-    stream that trains many 0-phoneme chunks."""
+    """Shallow words, each also spelled with a silent h and a silent w
+    inserted: a stream that trains 0-phoneme chunks."""
     rng = random.Random(4)
     rows = []
     for graph, ipa in shallow_words(200, seed=31):
         rows.append(("<eo>", parse_ipa(ipa), graph))
-        for silent in ("h", "w", "y", "q", "x", "c", "hw", "yq"):
+        for silent in ("h", "w"):
             at = rng.randint(0, len(graph))
             rows.append(("<eo>", parse_ipa(ipa), graph[:at] + silent + graph[at:]))
     return rows
@@ -425,51 +493,103 @@ def _silent_letter_stream():
 
 def test_decode_matches_reference_beam_with_silent_letters():
     model = train_tagged(_silent_letter_stream(), order=4)
-    assert len(model.chunk_index[()]) >= 8
-    _assert_decode_matches_reference(model, "<eo>", ("pato", "shilo", "a"))
+    assert [letters for _, letters in model.chunk_index[()]] == ["h", "w"]
+    surfaces = _assert_decode_matches_reference(model, "<eo>", ("a", "pa"), n_bests=(5,))
+    assert len(surfaces["pa"]) > 1000
 
 
 def test_decode_matches_reference_beam_at_the_length_bound():
     # every word also spelled with a silent tail of 3 letters per segment:
     # with the word itself that passes 3 x segments + 5 letters, the
-    # longest surface decode may build, so expansions stop fitting
+    # longest surface decode may build, so expansions stop fitting. At
+    # order 1 every state is empty, so h + h reaches the state and surface
+    # of hh, at a better score than hh's
     rows = []
     for graph, ipa in shallow_words(150, seed=31):
         segments = len(parse_ipa(ipa).segments)
         rows.append(("<eo>", parse_ipa(ipa), graph))
         rows.append(("<eo>", parse_ipa(ipa), graph + "h" * (3 * segments)))
-    model = train_tagged(rows, order=4)
-    assert [letters for _, letters in model.chunk_index[()]] == ["h", "hh"]
-    cands = beam_decode(model, "<eo>", parse_ipa("a"), n_best=5, beam_width=2)
-    assert [c.grapheme for c in cands] == ["hhhhhhha"]  # 8 letters, the bound
-    _assert_decode_matches_reference(model, "<eo>", ("pato", "a", "shilo"))
+    for order in (1, 4):
+        model = train_tagged(rows, order=order)
+        assert [letters for _, letters in model.chunk_index[()]] == ["h", "hh"]
+        surfaces = _assert_decode_matches_reference(model, "<eo>", ("a", "pa", "pat"))
+        assert max(map(len, surfaces["a"])) == 8, order  # the bound, 3 x 1 + 5
+        assert max(map(len, surfaces["pat"])) == 14, order
 
 
 def test_decode_matches_reference_beam_for_an_unseen_tag():
-    model = train(shallow_lexicon(150, seed=22), order=3)
-    for decode in (beam_decode, _reference_beam.beam_decode):
-        with pytest.warns(UnknownTagWarning):
-            decode(model, "<zz>", parse_ipa("pato"), 5)
+    model = train_tagged(_variant_stream(), order=3)
+    with pytest.warns(UnknownTagWarning):
+        beam_decode(model, "<zz>", parse_ipa("kivi"), 5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnknownTagWarning)
-        _assert_decode_matches_reference(model, "<zz>", ("pato", "shilo"))
+        surfaces = _assert_decode_matches_reference(model, "<zz>", ("kivi", "kemiltu"))
+    assert len(surfaces["kivi"]) == 4
+
+
+def test_decode_matches_reference_beam_with_tag_restriction_and_fallback():
+    # <bb> spells v as w and alone has ʒ: under <aa> a query decodes inside
+    # <aa>'s chunks, and one with ʒ falls back to all chunks
+    rows = []
+    for graph, ipa in shallow_words(150, seed=22):
+        rows.append(("<bb>", parse_ipa(ipa), graph.replace("v", "w")))
+        if "ʒ" not in ipa:
+            rows.append(("<aa>", parse_ipa(ipa), graph))
+    model = train_tagged(rows, order=3)
+    assert [letters for _, letters in model.chunk_index[("v", "a")]] == ["va", "wa"]
+    assert ("ʒ",) in model.chunk_index
+    aa = model._index(model.ids[("tag", "<aa>")])
+    assert ("ʒ",) not in aa.chunks and [l for _, l in aa.chunks[("v", "a")]] == ["va"]
+    surfaces = _assert_decode_matches_reference(model, "<aa>", ("vasi", "ʒavo"))
+    assert set(surfaces["vasi"]) == {"vasi"}  # restricted: no w
+    assert "zhawo" in surfaces["ʒavo"] and "zhavo" in surfaces["ʒavo"]  # the fallback
+    assert beam_decode(model, "<aa>", parse_ipa("ʒavo"), 1)[0].grapheme == "zhavo"
+    _assert_decode_matches_reference(model, "<bb>", ("vasi", "ʒavo"))
 
 
 def test_decode_keeps_every_expansion_tied_at_the_beam_boundary():
     # "ku" spelled two ways once each: EM learns the chunks ku -> "ku",
-    # ku -> "kh" and a silent "u", all counted once, so their expansions tie.
-    # The merge yields the silent "u" first, but the surface order keeps
-    # "kh" at width 1, so a merge that stopped at width rows would lose it
+    # ku -> "kh" and a silent "u". At order 3, ku -> "kh" and ku -> "ku"
+    # tie after the tag, so stack 2 holds both at the same score; at width
+    # 1 the surface order keeps "kh", although "ku" pays less for EOS
     rows = [("<x>", parse_ipa("ku"), spelling) for spelling in ("ku", "khu")]
-    model = train_tagged(rows, order=1)
+    model = train_tagged(rows, order=3)
     ipa = parse_ipa("ku")
-    top = _reference_beam.beam_decode(model, "<x>", ipa, 2, 2)
-    assert [c.grapheme for c in top] == ["kh", "ku"]
-    assert top[0].log_score == top[1].log_score
-    for width in (1, 2):
-        for n_best in (1, 2, 5):
-            assert (beam_decode(model, "<x>", ipa, n_best, width)
-                    == _reference_beam.beam_decode(model, "<x>", ipa, n_best, width))
+    kh, ku = (model.ids[("chunk", ("k", "u"), letters)] for letters in ("kh", "ku"))
+    start = (model.ids[("<s>",)], model.ids[("tag", "<x>")])
+    assert model.log_prob(kh, start) == model.log_prob(ku, start)
+    best, _ = exhaustive(model, "<x>", ipa)
+    assert [c.grapheme for c in ranked(best, 2)] == ["ku", "kh"]
+    assert beam_decode(model, "<x>", ipa, 2, 1) == [Candidate("kh", best["kh"])]
+    for n_best in (1, 2, 5):
+        assert beam_decode(model, "<x>", ipa, n_best, 2) == ranked(best, min(n_best, 2))
+    # a unigram table where k spells b or bc and u spells a or z, all
+    # counted once: every spelling of "ku" ties. The merge yields the rows
+    # of stack 1's "b" first, so keeping rows in merge order would keep
+    # "ba" and "bz" at width 2; the surface order keeps "ba" and "bca"
+    tokens = [("</s>",), ("chunk", ("k",), "b"), ("chunk", ("k",), "bc"),
+              ("chunk", ("u",), "a"), ("chunk", ("u",), "z"), ("tag", "<x>")]
+    unigram = JointModel(1, tokens, {(): {0: 2, 1: 1, 2: 1, 3: 1, 4: 1}})
+    best, _ = exhaustive(unigram, "<x>", ipa)
+    assert len(set(best.values())) == 1
+    got = beam_decode(unigram, "<x>", ipa, 2, 2)
+    assert [c.grapheme for c in got] == ["ba", "bca"] and got == ranked(best, 2)
+
+
+def test_decode_keeps_the_best_path_to_a_state_and_surface():
+    # a unigram table where a spells "a" or, rarely, "ah", and a silent h
+    # is common: stack 1 takes "ah" from the rare chunk first, then a
+    # better path to the same (empty) state and surface, "a" + "h"
+    tokens = [("</s>",), ("chunk", (), "h"), ("chunk", ("a",), "a"),
+              ("chunk", ("a",), "ah"), ("tag", "<x>")]
+    eos, h, a, ah = range(4)
+    model = JointModel(1, tokens, {(): {eos: 2, h: 4, a: 4, ah: 1}})
+    ipa = parse_ipa("a")
+    best, visited = exhaustive(model, "<x>", ipa)
+    silent = model.log_prob(a, ()) + model.log_prob(h, ()) + model.log_prob(eos, ())
+    assert best["ah"] == silent > model.log_prob(ah, ()) + model.log_prob(eos, ())
+    for n_best in (1, 3):
+        assert beam_decode(model, "<x>", ipa, n_best, visited) == ranked(best, n_best)
 
 
 def test_tags_condition_the_output():
@@ -514,12 +634,6 @@ def test_width_one_is_greedy():
                         beam_width=1)
     assert len(cands) == 1
     assert cands[0].grapheme == words[0]
-
-
-def test_effective_beam_width_default_is_triple():
-    assert effective_beam_width(1) == 3
-    assert effective_beam_width(30) == 90
-    assert effective_beam_width(30, beam_width=7) == 7
 
 
 def test_unknown_tag_warns_but_decodes():
@@ -583,7 +697,7 @@ def test_save_load_preserves_decoding(tmp_path):
     assert loaded.tokens == model.tokens
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert set(doc) == {"format", "version", "order", "tokens", "ngrams"}
-    assert doc["version"] == 4
+    assert doc["version"] == 5
     for probe in ("pato", "shilo", "chama"):
         ipa = parse_ipa(probe)
         a = beam_decode(model, "<eo>", ipa, n_best=3)
@@ -605,12 +719,13 @@ def test_failed_save_keeps_the_previous_file(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
-@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("order", [1, 2, 3])
 def test_token_table_holds_exactly_the_trained_tokens(order):
     model = train(shallow_lexicon(60, seed=31), order=order)
-    used = model.vocab.union(*model.counts)
+    tags = (model.ids[("tag", tag)] for tag in model.tags)
+    used = model.vocab.union(*model.counts, tags)
     assert model.tokens == sorted(model.tokens[i] for i in used)
-    assert (("<s>",) in model.ids) == (order > 1)
+    assert (("<s>",) in model.ids) == (order > 2)
     assert all(model.ids[tok] == i for i, tok in enumerate(model.tokens))
 
 
@@ -621,20 +736,22 @@ def test_load_rejects_other_files(tmp_path):
         JointModel.load(path)
 
 
-@pytest.mark.parametrize("case", ["v1-lines", "v2-document", "version-3", "other-format",
+@pytest.mark.parametrize("case", ["v1-lines", "v2-document", "version-3", "version-4", "other-format",
                                   "other-version", "truncated", "no-ngrams", "negative-id",
                                   "negative-count", "fractional-count", "long-context", "repeated-ngram",
                                   "bool-order", "context-id-past-table", "token-id-past-table",
                                   "unsorted-tokens", "no-eos", "chunk-letters-not-str",
                                   "chunk-phonemes-not-str", "tag-name-not-str", "unknown-token",
                                   "no-empty-context", "no-1-token-contexts",
-                                  "context-without-its-suffix", "context-without-its-prefix"])
+                                  "context-without-its-suffix", "context-not-ending-in-a-tag",
+                                  "context-without-its-prefix"])
 def test_load_rejects_malformed_documents(tmp_path, case, capsys):
     path = tmp_path / "m.model"
-    train(shallow_lexicon(40, seed=30), order=3).save(path)
+    train(shallow_lexicon(40, seed=30), order=4).save(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     tokens, ngrams = doc["tokens"], doc["ngrams"]
-    eos, tag = tokens.index(["</s>"]), tokens.index(["tag", "<eo>"])
+    eos, bos, tag = tokens.index(["</s>"]), tokens.index(["<s>"]), tokens.index(["tag", "<eo>"])
+    a = tokens.index(["chunk", ["a"], "a"])
     if case == "v1-lines":
         text = "polyipa-joint-model\t1\norder\t2\ndiscount\t0x1.8000000000000p-1\ntags\t0\n"
     elif case == "truncated":
@@ -644,6 +761,8 @@ def test_load_rejects_malformed_documents(tmp_path, case, capsys):
             doc.update(version=2, tags=["<eo>"], chunks=[[["p"], "p", 1.0]])
         elif case == "version-3":
             doc.update(version=3, discount=0.75)  # the fixed discount of version 3
+        elif case == "version-4":
+            doc["version"] = 4  # the same fields, with the tag first in each context
         elif case == "other-format":
             doc["format"] = "another-model"
         elif case == "other-version":
@@ -657,7 +776,7 @@ def test_load_rejects_malformed_documents(tmp_path, case, capsys):
         elif case == "fractional-count":
             ngrams[0][-1] = 0.5
         elif case == "long-context":
-            ngrams.append([0] * 9 + [1, 1])  # an order-3 model has 2-token contexts
+            ngrams.append([0] * 9 + [1, 1])  # an order-4 model has 3-token contexts
         elif case == "repeated-ngram":
             ngrams.append(list(ngrams[-1]))
         elif case == "context-id-past-table":
@@ -682,9 +801,11 @@ def test_load_rejects_malformed_documents(tmp_path, case, capsys):
         elif case == "no-1-token-contexts":
             doc["ngrams"] = [row for row in ngrams if len(row) != 3]
         elif case == "context-without-its-suffix":
-            ngrams.append([tag, eos, eos, 1])  # EOS never ends a context
+            ngrams.append([bos, eos, tag, eos, 1])  # (bos, tag) is a context, (eos, tag) not
+        elif case == "context-not-ending-in-a-tag":
+            ngrams.append([a, a, 1])  # (a,) minus its first token, (), is a context
         elif case == "context-without-its-prefix":
-            ngrams.append([eos, tag, eos, 1])  # nor starts one
+            ngrams.append([eos, bos, tag, eos, 1])  # (eos, bos, tag) minus its last history token, (eos, tag), is no context
         else:
             doc["order"] = True
         text = json.dumps(doc)
