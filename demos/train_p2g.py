@@ -40,7 +40,7 @@ train_lex, eval_lex, test_lex = stratified_split(
     Lexicon(entries), SplitSpec(test_size=60, eval_size=0, seed=3))
 print(f"{len(train_lex)} train words, {len(test_lex)} held out")
 
-model = train(train_lex, order=5, em_iterations=6)
+model = train(train_lex, order=5)
 print(f"model order {model.order}, {sum(map(len, model.chunk_index.values()))} learned chunks")
 
 # decode held-out words the model never saw spelled
@@ -60,7 +60,7 @@ for i, (ipa, spelling) in enumerate(sorted(seen.items())):
     if "k" in ipa and i % 3 == 0:
         spelling = spelling.replace("k", "c")
     ambiguous.append(PronEntry("eo", spelling, parse_ipa(ipa)))
-model2 = train(Lexicon(ambiguous), order=5, em_iterations=6)
+model2 = train(Lexicon(ambiguous), order=5)
 
 probe = parse_ipa("kato")
 print(f"\ntop 3 for /{probe.text}/ under the mixed k/c convention:")

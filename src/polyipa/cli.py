@@ -181,11 +181,10 @@ def cmd_augment(args, cfg: PipelineConfig, res: Resources) -> int:
     if not (math.isfinite(args.ratio) and args.ratio >= 0):
         raise ValueError(f"--ratio must be a finite number >= 0, got {args.ratio}")
     train_lex = Lexicon.read_tsv(args.train, res.inventory)
-    variants = read_pairs_tsv(args.pairs, res.inventory) if args.pairs else {}
+    variants = read_pairs_tsv(args.pairs, train_lex, res.inventory) if args.pairs else {}
     counters: dict[str, int] = {}
-    stream = upsample_generate(train_lex, variants, cfg.split, ratio=args.ratio,
-                               scripts=res.scripts, inventory=res.inventory,
-                               counters=counters)
+    stream = upsample_generate(train_lex, variants, ratio=args.ratio, scripts=res.scripts,
+                               inventory=res.inventory, counters=counters)
     write_examples_tsv(args.out, stream)
     _summary("augment: " + ", ".join(f"{k}={counters[k]}" for k in sorted(counters)), args.out)
     return 0
@@ -199,12 +198,10 @@ def cmd_train(args, cfg: PipelineConfig, res: Resources) -> int:
     if _first_data_columns(source) == 4:
         examples = read_examples_tsv(source, res.inventory)
         rows = [(ex.tag, ex.ipa, ex.target) for ex in examples]
-        model = train_tagged(rows, order=cfg.model_order,
-                             em_iterations=cfg.em_iterations)
+        model = train_tagged(rows, order=cfg.model_order)
     else:
         lex = Lexicon.read_tsv(source, res.inventory)
-        model = train(lex, order=cfg.model_order, em_iterations=cfg.em_iterations,
-                      scripts=res.scripts)
+        model = train(lex, order=cfg.model_order, scripts=res.scripts)
     model.save(args.output)
     stats = model.training_stats
     log_likelihood = stats.get("log_likelihood")
@@ -351,7 +348,6 @@ def build_parser() -> _Parser:
     p.add_argument("--pairs", help="mined pairs TSV for similar variants")
     p.add_argument("--ratio", type=float, default=1.0,
                    help="min originals-to-augmented ratio (default 1.0)")
-    p.add_argument("--max-tokens", help="token budget per example")
     p.add_argument("--out", required=True, help="augmented examples TSV")
     p.set_defaults(func=cmd_augment)
 
@@ -359,7 +355,6 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True,
                    help="lexicon TSV or augmented examples TSV")
     p.add_argument("--order", dest="model_order", help="n-gram order")
-    p.add_argument("--em-iterations", help="aligner EM iterations")
     p.add_argument("--output", required=True, help="model file")
     p.set_defaults(func=cmd_train)
 

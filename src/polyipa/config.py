@@ -68,11 +68,10 @@ class PipelineConfig:
     mining: MiningParams = field(default_factory=MiningParams)
     split: SplitSpec = field(default_factory=SplitSpec)
     model_order: int = 6
-    em_iterations: int = 6
     n_best: int = 1
 
     def __post_init__(self):
-        for key in ("model_order", "em_iterations", "n_best"):
+        for key in ("model_order", "n_best"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
 

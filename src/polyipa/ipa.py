@@ -23,7 +23,7 @@ from .errors import EmptyStringError, PolyipaError, UnknownSymbolError, Unmappab
 
 __all__ = [
     "TIE_BARS",
-    "DEFAULT_STRIPPED_MODIFIERS",
+    "STRIPPED_MODIFIERS",
     "TranscriptionSystem",
     "IpaSegment",
     "IpaString",
@@ -43,10 +43,10 @@ __all__ = [
 
 TIE_BARS = frozenset({"͡", "͜"})
 
-# Modifier letters removed by strip_diacritics_tones unless overridden:
-# aspiration, palatalization, labialization, velarization, pharyngealization,
+# Modifier letters removed by strip_diacritics_tones: aspiration,
+# palatalization, labialization, velarization, pharyngealization,
 # prenasalization, lateral release, stress marks, length marks.
-DEFAULT_STRIPPED_MODIFIERS = frozenset(
+STRIPPED_MODIFIERS = frozenset(
     {"ʰ", "ʲ", "ʷ", "ˠ", "ˤ", "ⁿ", "ˡ",
      "ˈ", "ˌ", "ː", "ˑ"}
 )
@@ -341,16 +341,14 @@ def validate_ipa(text: str, inventory: IpaInventory | None = None) -> Validation
 def strip_diacritics_tones(
     s: IpaString,
     inventory: IpaInventory | None = None,
-    removable_modifiers: frozenset[str] | None = None,
 ) -> IpaString:
     """Remove combining marks (except tie bars), tone letters, and the
-    configured modifier letters. Idempotent; valid input stays valid."""
+    STRIPPED_MODIFIERS letters. Idempotent; valid input stays valid."""
     inv = inventory or default_inventory()
-    removable = DEFAULT_STRIPPED_MODIFIERS if removable_modifiers is None else removable_modifiers
     out: list[IpaSegment] = []
     for seg in s.segments:
         if seg.base in inv.prosodic:
-            if seg.base not in removable:
+            if seg.base not in STRIPPED_MODIFIERS:
                 out.append(IpaSegment(seg.base))
             continue
         core = "".join(
@@ -359,7 +357,7 @@ def strip_diacritics_tones(
         )
         kept = tuple(
             m for m in seg.diacritics
-            if (m in TIE_BARS) or (m in inv.modifiers and m not in removable)
+            if (m in TIE_BARS) or (m in inv.modifiers and m not in STRIPPED_MODIFIERS)
         )
         out.append(IpaSegment(core, kept, ()))
     return IpaString.from_segments(out)

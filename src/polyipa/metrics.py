@@ -68,22 +68,26 @@ def cer(reference: str, hypothesis: str) -> float:
     return levenshtein(ref, hyp) / max(1, len(ref))
 
 
-def char_bleu(reference: str, hypothesis: str, max_order: int = 4, floor: float = 0.01) -> float:
-    """BLEU over character tokens, orders 1..max_order, geometric mean with
-    floor smoothing (zero precisions become `floor`), standard brevity
-    penalty. Empty hypothesis scores 0."""
+_BLEU_ORDER = 4
+_BLEU_FLOOR = 0.01
+
+
+def char_bleu(reference: str, hypothesis: str) -> float:
+    """BLEU over character tokens, orders 1..4, geometric mean with floor
+    smoothing (zero precisions become 0.01), standard brevity penalty.
+    Empty hypothesis scores 0."""
     ref, hyp = _nfc(reference), _nfc(hypothesis)
     if not hyp:
         return 0.0
     log_sum = 0.0
-    for n in range(1, max_order + 1):
+    for n in range(1, _BLEU_ORDER + 1):
         hyp_grams = Counter(hyp[i:i + n] for i in range(len(hyp) - n + 1))
         ref_grams = Counter(ref[i:i + n] for i in range(len(ref) - n + 1))
         matches = sum(min(c, ref_grams[g]) for g, c in hyp_grams.items())
         total = max(0, len(hyp) - n + 1)
-        precision = matches / total if total and matches else floor
+        precision = matches / total if total and matches else _BLEU_FLOOR
         log_sum += math.log(precision)
-    geo = math.exp(log_sum / max_order)
+    geo = math.exp(log_sum / _BLEU_ORDER)
     brevity = 1.0 if len(hyp) >= len(ref) else math.exp(1.0 - len(ref) / len(hyp))
     return geo * brevity
 

@@ -9,7 +9,7 @@ under the distance threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -251,11 +251,14 @@ def write_pairs_tsv(path, entries: Sequence[PronEntry],
 
 
 def read_pairs_tsv(
-    path, inventory: IpaInventory | None = None,
+    path, train: Iterable[PronEntry], inventory: IpaInventory | None = None,
 ) -> dict[tuple[str, str, str], list[IpaString]]:
-    """The pairs file as augment's variant map: each side's (lang, grapheme,
-    ipa) maps to the other sides' transcriptions, in file order, each kept
-    once. Every distinct transcription is parsed once."""
+    """The pairs file as augment's variant map: for each row whose two
+    sides are both entries of train, each side's (lang, grapheme, ipa) maps
+    to the other sides' transcriptions, in file order, each kept once, so
+    no held-out entry mined along with train reaches training. Every
+    distinct transcription is parsed once."""
+    keys = {entry.key for entry in train}
     parsed: dict[str, IpaString] = {}
 
     def ipa(text: str) -> IpaString:
@@ -270,6 +273,8 @@ def read_pairs_tsv(
 
     variants: dict[tuple[str, str, str], list[IpaString]] = {}
     for row in _parse_rows(path, parse, len(_PAIR_COLUMNS), "<TAB>".join(_PAIR_COLUMNS)):
+        if not all(key in keys for key, _ in row):
+            continue
         for key, variant in row:
             bucket = variants.setdefault(key, [])
             if variant not in bucket:

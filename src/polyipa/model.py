@@ -65,6 +65,7 @@ _FORMAT = "polyipa-joint-model"
 _VERSION = 5
 _FIELDS = frozenset({"format", "version", "order", "tokens", "ngrams"})
 _FALLBACK_DISCOUNT = 0.75  # JointModel.discounts[L] where its n1 or n2 is 0
+_EM_ITERATIONS = 3
 # training rows per compiled block of EM lattices
 _BLOCK_ROWS = 1024
 _SHAPES = tuple((p, g) for p in range(3) for g in range(3) if (p, g) != (0, 0))
@@ -449,7 +450,7 @@ class ChunkAligner:
         # chunk of every kept id
         self._fitted: tuple[list[bool], _Lattices, np.ndarray, dict[int, Chunk]] | None = None
 
-    def fit(self, pairs: Sequence[tuple[tuple[str, ...], str]], iterations: int = 6,
+    def fit(self, pairs: Sequence[tuple[tuple[str, ...], str]], iterations: int = _EM_ITERATIONS,
             min_prob: float = 1e-12) -> dict[str, int | list[float]]:
         """Run EM over (segments, grapheme) pairs; returns skip counters and,
         per iteration, the log-likelihood of the table it made: the sum of
@@ -772,31 +773,29 @@ def _is_token(tok) -> bool:
 def train(
     lex: Lexicon,
     order: int = 6,
-    em_iterations: int = 6,
     scripts: ScriptTable | None = None,
 ) -> JointModel:
     """Train on a lexicon, each entry tagged with its language and script."""
     if len(lex) == 0:
         raise EmptyLexiconError("cannot train on an empty lexicon")
     rows = [(lang_script_tag(e, scripts), e.ipa, e.grapheme) for e in lex]
-    return train_tagged(rows, order, em_iterations)
+    return train_tagged(rows, order)
 
 
 def train_tagged(
     rows: Sequence[tuple[str, IpaString, str]],
     order: int = 6,
-    em_iterations: int = 6,
 ) -> JointModel:
     """Train from pre-tagged (tag, ipa, target) rows, e.g. an augmented
     training stream: fit the chunk aligner by EM, then count tagged joint
     n-grams over each row's Viterbi chunking."""
     if not rows:
         raise EmptyLexiconError("cannot train on an empty example stream")
-    # bad settings fail here, not after EM; fit itself rejects em_iterations < 1
+    # a bad order fails here, not after EM
     _check_order(order)
     aligner = ChunkAligner()
     stats = aligner.fit([(tuple(seg.text for seg in ipa.segments), target)
-                         for _, ipa, target in rows], iterations=em_iterations)
+                         for _, ipa, target in rows])
     # each row's history, from order - 2 BOS to EOS, and its tag; the tokens
     # after the BOS are predicted, each after its history's last order - 2
     # or fewer tokens followed by the tag

@@ -6,7 +6,7 @@ same seed always reproduces the same three disjoint sets. Upsampling turns
 each training entry into a small stream: the original, its stripped variant
 when that differs, any mined sound-alike variants, and enough repeats of the
 original to keep originals at or above a configured ratio of the augmented
-material.
+material, every emission under a fixed token budget.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 PROVENANCES = ("original", "cleaned-variant", "similar-variant", "repeat")
+# an emission of this many tokens or more is dropped (TrainExample.token_count)
+_MAX_TOKENS = 40
 
 
 @dataclass(frozen=True)
@@ -37,14 +39,11 @@ class SplitSpec:
     test_size: int = 5000
     eval_size: int = 5000
     seed: int = 0
-    max_tokens: int = 40
     per_lang_cap: int | None = None
 
     def __post_init__(self):
         if self.test_size < 0 or self.eval_size < 0:
             raise ValueError("split sizes must be >= 0")
-        if self.max_tokens <= 0:
-            raise ValueError("max_tokens must be > 0")
         if self.per_lang_cap is not None and self.per_lang_cap < 1:
             raise ValueError("per_lang_cap must be >= 1 when given")
 
@@ -140,7 +139,6 @@ def stratified_split(
 def upsample_generate(
     train: Iterable[PronEntry],
     variants: Mapping[tuple[str, str, str], Sequence[IpaString]] | None = None,
-    spec: SplitSpec | None = None,
     ratio: float = 1.0,
     scripts: ScriptTable | None = None,
     inventory: IpaInventory | None = None,
@@ -152,10 +150,9 @@ def upsample_generate(
     similar variant, then repeats of the original so that originals stay at
     or above `ratio` times the augmented emissions. Everything except
     repeats passes a duplicate index keyed on (tag, ipa, target); every
-    emission must stay under the token budget. Suppressed items are counted
+    emission must stay under _MAX_TOKENS tokens. Suppressed items are counted
     in `counters`, never raised.
     """
-    spec = spec or SplitSpec()
     variants = variants or {}
     if counters is None:
         counters = {}
@@ -165,7 +162,7 @@ def upsample_generate(
     seen: set[tuple[str, str, str]] = set()
 
     def admit(ex: TrainExample, dedup: bool) -> bool:
-        if ex.token_count >= spec.max_tokens:
+        if ex.token_count >= _MAX_TOKENS:
             counters["filtered_length"] += 1
             return False
         if dedup:

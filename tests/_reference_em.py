@@ -8,10 +8,10 @@ positive posterior; the batched kernel must reproduce both bit for bit.
 
 from __future__ import annotations
 
-from polyipa.model import _SHAPES, _ratio_ok
+from polyipa.model import _EM_ITERATIONS, _SHAPES, _ratio_ok
 
 
-def fit(pairs, iterations=6, min_prob=1e-12):
+def fit(pairs, iterations=_EM_ITERATIONS, min_prob=1e-12):
     """Run EM over (segments, grapheme) pairs; returns (probs, skip counters)."""
     usable = [(tuple(segs), graph) for segs, graph in pairs
               if _ratio_ok(len(segs), len(graph))]

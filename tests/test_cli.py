@@ -387,6 +387,26 @@ def test_pairs_mine_augment_train(tmp_path):
     assert model.exists()
 
 
+def test_augment_takes_variants_only_from_pairs_inside_train(tmp_path):
+    # mined over the whole lexicon, as the README path does, so some pairs
+    # pair a training entry with the held-out "mat"
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("de\tkat\tkat\nde\tgat\tkad\nde\tmat\tmat\n", encoding="utf-8")
+    train = tmp_path / "train.tsv"
+    train.write_text("de\tkat\tkat\nde\tgat\tkad\n", encoding="utf-8")
+    mined = tmp_path / "mined.tsv"
+    assert run_cli(["mine", "--input", str(lex), "--k", "2", "--threshold", "5",
+                    "--output", str(mined)]) == 0
+    assert "mat" in mined.read_text(encoding="utf-8")
+    aug = tmp_path / "aug.tsv"
+    assert run_cli(["augment", "--train", str(train), "--pairs", str(mined),
+                    "--out", str(aug)]) == 0
+    variants = sorted((graph, ipa) for _, graph, ipa, provenance in
+                      (line.split("\t") for line in aug.read_text(encoding="utf-8").splitlines())
+                      if provenance == "similar-variant")
+    assert variants == [("gat", "kat"), ("kat", "kad")]
+
+
 def test_clean_fixture_via_cli(fixture_corpus, tmp_path):
     out = tmp_path / "cleaned.tsv"
     report_path = tmp_path / "report.json"
@@ -506,7 +526,6 @@ def test_help_lists_every_flag():
 
 @pytest.mark.parametrize("argv, env, message", [
     (["--order", "0"], "MODEL_ORDER", "model_order must be >= 1"),
-    (["--em-iterations", "0"], "EM_ITERATIONS", "em_iterations must be >= 1"),
     (["--order", "six"], "MODEL_ORDER", "model_order must be an integer, got 'six'"),
 ])
 def test_train_flags_and_env_share_checks(pipeline, tmp_path, monkeypatch, capsys,

@@ -44,10 +44,8 @@ exclude_existing = yes
 test_size = 10
 eval_size = 20
 seed = 7
-max_tokens = 30
 per_lang_cap = 100
 model_order = 4
-em_iterations = 3
 n_best = 5
 """)
     cfg = load(path)
@@ -57,10 +55,8 @@ n_best = 5
     assert cfg.split.test_size == 10
     assert cfg.split.eval_size == 20
     assert cfg.split.seed == 7
-    assert cfg.split.max_tokens == 30
     assert cfg.split.per_lang_cap == 100
     assert cfg.model_order == 4
-    assert cfg.em_iterations == 3
     assert cfg.n_best == 5
 
 

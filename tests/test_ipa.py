@@ -154,12 +154,6 @@ def test_strip_idempotent_and_validity_preserving():
         assert validate_ipa(once.text).ok
 
 
-def test_strip_custom_modifier_set():
-    s = parse_ipa("kʰat")
-    kept = strip_diacritics_tones(s, removable_modifiers=frozenset())
-    assert kept.text == "kʰat"
-
-
 def test_xsampa_conversion():
     assert convert_to_ipa("xsampa", "tS").text == "t͡ʃ"
     assert convert_to_ipa("xsampa", '"pleIs').text == "ˈpleɪs"

@@ -342,7 +342,7 @@ def test_pairs_tsv_roundtrip(tmp_path):
     for i, j in ((i, j) for a, b, _ in pairs for i, j in ((a, b), (b, a))):
         key = (entries[i].lang, entries[i].grapheme, entries[i].ipa.text)
         want.setdefault(key, []).append(entries[j].ipa.text)
-    back = read_pairs_tsv(path)
+    back = read_pairs_tsv(path, entries)
     assert {key: [v.text for v in vs] for key, vs in back.items()} == want
 
 
@@ -355,20 +355,28 @@ def test_read_pairs_tsv_indexes_both_directions_once(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(mining, "parse_ipa",
                         lambda text, inventory=None: calls.append(text) or parse_ipa(text))
-    mapping = read_pairs_tsv(path)
+    train = [PronEntry("de", g, parse_ipa(ipa)) for g, ipa in
+             (("kat", "kat"), ("gat", "kad"), ("mat", "mat"))]
+    mapping = read_pairs_tsv(path, train)
     assert {key: [v.text for v in vs] for key, vs in mapping.items()} == {
         ("de", "kat", "kat"): ["kad"],
         ("de", "gat", "kad"): ["kat", "mat"],
         ("de", "mat", "mat"): ["kad"],
     }
     assert sorted(calls) == ["kad", "kat", "mat"]  # once per distinct transcription
+    # a pair with a side outside train, such as a test entry, yields nothing
+    mapping = read_pairs_tsv(path, train[:2])
+    assert {key: [v.text for v in vs] for key, vs in mapping.items()} == {
+        ("de", "kat", "kat"): ["kad"],
+        ("de", "gat", "kad"): ["kat"],
+    }
 
 
 def test_pairs_tsv_rejects_short_rows(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text("de\tkat\tkat\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"pairs\.tsv: line 1: "):
-        read_pairs_tsv(path)
+        read_pairs_tsv(path, ())
 
 
 def test_pairs_tsv_names_the_line_of_a_bad_field(tmp_path):
@@ -376,7 +384,7 @@ def test_pairs_tsv_names_the_line_of_a_bad_field(tmp_path):
     good = "de\tkat\tkat\tde\tkad\tkad\t1.0\n"
     path.write_text(good + good.replace("1.0", "abc"), encoding="utf-8")
     with pytest.raises(ValueError, match=r"pairs\.tsv: line 2: could not convert .*'abc'"):
-        read_pairs_tsv(path)
+        read_pairs_tsv(path, ())
     path.write_text(good + good.replace("kad\t1", "k@d\t1"), encoding="utf-8")
     with pytest.raises(UnknownSymbolError, match=r"pairs\.tsv: line 2: unknown symbol '@'"):
-        read_pairs_tsv(path)
+        read_pairs_tsv(path, ())

@@ -130,7 +130,7 @@ def test_viterbi_reads_each_fit_once():
 
 def test_fit_counts_ratio_skips():
     aligner = ChunkAligner()
-    stats = aligner.fit([(("a",), "a"), (("a",), "aaaaa")])
+    stats = aligner.fit([(("a",), "a"), (("a",), "aaaaa")], iterations=6)
     assert stats == {"pairs": 2, "ratio_skipped": 1, "unalignable": 0,
                      "log_likelihood": pytest.approx(
                          [math.log(0.52), -0.6380064218811454, -0.6119370330540815,
@@ -182,7 +182,7 @@ def _assert_matches_reference(pairs, **kwargs):
     del ref_stats["unalignable"]
     assert {k: v for k, v in stats.items() if k != "unalignable"} == ref_stats
     assert stats["unalignable"] == aligner.viterbi().count(None) - stats["ratio_skipped"]
-    assert len(log_likelihood) == max(1, kwargs.get("iterations", 6))
+    assert len(log_likelihood) == max(1, kwargs.get("iterations", polyipa.model._EM_ITERATIONS))
     return stats, log_likelihood
 
 
@@ -229,7 +229,8 @@ def test_viterbi_matches_reference():
     assert None not in chunkings
 
 
-@pytest.mark.parametrize("kwargs, unaligned", [({}, 4), ({"min_prob": 1e-3}, 6),
+@pytest.mark.parametrize("kwargs, unaligned", [({}, 4),
+                                               ({"iterations": 6, "min_prob": 1e-3}, 6),
                                                ({"iterations": 1}, 4),
                                                ({"iterations": 1, "min_prob": 1e-3}, 5)])
 def test_viterbi_matches_reference_on_mixed_stream(kwargs, unaligned):
@@ -284,19 +285,20 @@ def test_train_rejects_bad_settings_before_em(monkeypatch):
             train(lex, order=0)
         with pytest.raises(ValueError):
             train_tagged(rows, order=0)
-    with pytest.raises(ValueError, match="iterations must be >= 1"):
-        train(lex, em_iterations=0)
-    with pytest.raises(ValueError, match="iterations must be >= 1"):
-        train_tagged(rows, em_iterations=0)
+
+
+def test_train_runs_a_fixed_number_of_em_iterations():
+    stats = train(shallow_lexicon(40, seed=3), order=3).training_stats
+    assert len(stats["log_likelihood"]) == polyipa.model._EM_ITERATIONS == 3
 
 
 def test_train_alignment_failures_are_the_fit_skips(monkeypatch):
     # pruning at 1e-3 after one iteration leaves one usable row without a path
     monkeypatch.setattr(ChunkAligner, "fit",
-                        functools.partialmethod(ChunkAligner.fit, min_prob=1e-3))
+                        functools.partialmethod(ChunkAligner.fit, iterations=1, min_prob=1e-3))
     rows = [("<eo>", IpaString.from_segments(map(IpaSegment, segs)), graph)
             for segs, graph in _mixed_stream()]
-    stats = train_tagged(rows, order=2, em_iterations=1).training_stats
+    stats = train_tagged(rows, order=2).training_stats
     assert (stats["ratio_skipped"], stats["unalignable"]) == (4, 1)
     assert stats["alignment_failures"] == 5
 
@@ -496,6 +498,22 @@ def test_decode_matches_reference_beam_with_silent_letters():
     assert [letters for _, letters in model.chunk_index[()]] == ["h", "w"]
     surfaces = _assert_decode_matches_reference(model, "<eo>", ("a", "pa"), n_bests=(5,))
     assert len(surfaces["pa"]) > 1000
+
+
+@pytest.mark.parametrize("stream, probes", [
+    (_variant_stream, ("kivi", "ʃilo", "t͡ʃama", "kemiltu", "a")),
+    (_silent_letter_stream, ("a", "pa")),
+])
+def test_default_width_returns_a_full_n_best_list(stream, probes):
+    # at 3 x n_best, decode returns n_best candidates whenever the
+    # enumerator finds that many surfaces, and all of them when fewer
+    model = train_tagged(stream(), order=6)
+    for probe in probes:
+        ipa = parse_ipa(probe)
+        surfaces = len(exhaustive(model, "<eo>", ipa)[0])
+        for n_best in (1, 3, 5):
+            assert len(beam_decode(model, "<eo>", ipa, n_best)) == min(n_best, surfaces), \
+                (probe, n_best)
 
 
 def test_decode_matches_reference_beam_at_the_length_bound():

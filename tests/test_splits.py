@@ -70,8 +70,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SplitSpec(test_size=-1)
     with pytest.raises(ValueError):
-        SplitSpec(max_tokens=0)
-    with pytest.raises(ValueError):
         SplitSpec(per_lang_cap=0)
 
 
@@ -238,23 +236,22 @@ def test_repeat_count_formula():
 
 
 def test_token_budget_drops_long_emissions():
-    train = [_entry("de", "kat")]  # 1 + 3 + 3 = 7 tokens
+    ipa = "ta" * 9 + "t"
+    fits = _entry("de", ipa)  # 1 + 19 + 19 = 39 tokens
+    too_long = _entry("de", ipa + "e", ipa)  # 1 + 19 + 20 = 40
     counters = {}
-    out = list(upsample_generate(train, spec=SplitSpec(max_tokens=7),
-                                 counters=counters))
-    assert out == []  # budget is strict, the original itself is filtered
+    out = list(upsample_generate([fits, too_long], counters=counters))
+    # the budget is strict, and the original itself is filtered
+    assert [ex.target for ex in out] == [fits.grapheme]
     assert counters["filtered_length"] == 1
-    assert counters["original"] == 0
-    roomy = list(upsample_generate(train, spec=SplitSpec(max_tokens=8)))
-    assert len(roomy) == 1
+    assert counters["original"] == 1
 
 
 def test_long_variant_filtered_original_kept():
-    variants = {("de", "kat", "kat"): [parse_ipa("kataaaaaaa")]}
+    # 1 + 36 + 3 = 40 tokens
+    variants = {("de", "kat", "kat"): [parse_ipa("ta" * 18)]}
     counters = {}
-    out = list(upsample_generate([_entry("de", "kat")], variants,
-                                 spec=SplitSpec(max_tokens=12),
-                                 counters=counters))
+    out = list(upsample_generate([_entry("de", "kat")], variants, counters=counters))
     assert [ex.provenance for ex in out] == ["original"]
     assert counters["filtered_length"] == 1
 
