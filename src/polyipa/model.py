@@ -1,10 +1,11 @@
 """Joint-sequence n-gram phoneme-to-grapheme model with n-best stack decoding.
 
-Training entries are chunk-aligned by EM (chunk shapes up to 2 phonemes by
-2 graphemes, never 0:0) and chunked by Viterbi over the same compiled
-lattices, then an n-gram model interpolated by absolute discounting, with
-discounts per context length, is counted over the chunks and EOS of each
-entry, each predicted after a context of the form
+Training entries are chunk-aligned by EM (every chunk is one phoneme and 0
+to 4 graphemes; the first E pass favours chunks of one grapheme) and
+chunked by Viterbi over the same compiled lattices, then an n-gram model
+interpolated by absolute discounting, with discounts per context length,
+is counted over the chunks and EOS of each entry, each predicted after a
+context of the form
 
     (h_-k, ..., h_-1, <lang tag>),  k <= order - 2
 
@@ -12,8 +13,9 @@ where the history h is BOS ... BOS, chunk, chunk, ..., so that the tag is
 the last token of every context and is never predicted.
 
 Decoding keeps one stack of hypotheses per number of input segments
-consumed, filled left to right with the chunks trained under the query's
-tag (Koehn 2004, *Pharaoh*; Bisani & Ney 2008).
+consumed, each filled from the one before it with the chunks of the next
+segment trained under the query's tag (Koehn 2004, *Pharaoh*; Bisani &
+Ney 2008).
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ __all__ = [
     "write_candidates_tsv",
 ]
 
-# (phoneme segment texts, grapheme characters); at most 2x2, never 0:0.
+# (phoneme segment texts, grapheme characters): one segment and at most
+# _MAX_LETTERS characters.
 Chunk = tuple[tuple[str, ...], str]
 
 Token = tuple
@@ -62,17 +65,18 @@ EOS: Token = ("</s>",)
 
 _MAX_RATIO = 4
 _FORMAT = "polyipa-joint-model"
-_VERSION = 5
+_VERSION = 6
 _FIELDS = frozenset({"format", "version", "order", "tokens", "ngrams"})
 _FALLBACK_DISCOUNT = 0.75  # JointModel.discounts[L] where its n1 or n2 is 0
 _EM_ITERATIONS = 3
 # training rows per compiled block of EM lattices
 _BLOCK_ROWS = 1024
-_SHAPES = tuple((p, g) for p in range(3) for g in range(3) if (p, g) != (0, 0))
-# Viterbi's tie rank per shape: of equal-score edges into one cell, the one
-# with fewer symbols wins, then the one with fewer phonemes
-_TIE_RANK = np.array([sorted(_SHAPES, key=lambda s: (s[0] + s[1], s[0])).index(s)
-                      for s in _SHAPES], dtype=np.int8)
+# t͡ʃ -> tsch; _piece_codes codes pieces of up to 4 letters
+_MAX_LETTERS = 4
+# (phonemes, letters) of every chunk shape, by letters
+_SHAPES = tuple((1, g) for g in range(_MAX_LETTERS + 1))
+# the first E pass weights (1, 1) chunks 1 and every other chunk this
+_START_WEIGHT = 0.1
 
 
 def _tag_token(tag: str) -> Token:
@@ -95,44 +99,41 @@ def _ratio_ok(m: int, n: int) -> bool:
     return max(m, n) <= _MAX_RATIO * min(m, n)
 
 
-_SHAPE_P = np.array([p for p, _ in _SHAPES])
 _SHAPE_G = np.array([g for _, g in _SHAPES])
 
 
-def _edge_count(m: int, n: int) -> int:
-    """Number of edges of an m x n lattice, m, n >= 1: each of p, g in 0..2
-    has m + 1 - p and n + 1 - g starts, less the (m + 1)(n + 1) of 0:0."""
-    return 9 * m * n - (m + 1) * (n + 1)
-
-
 def _lattice_edges(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, shape index) of every edge of an m x n lattice, in the order
-    the per-row recursion visits them: source row-major, then _SHAPES."""
-    i = np.arange(m + 1)[:, None, None]
+    """(i, j, shape index) of every edge of an m x n lattice out of a cell
+    that a path from (0, 0) reaches, j <= _MAX_LETTERS * i, in the order the
+    per-row recursion visits them: source row-major, then _SHAPES."""
+    i = np.arange(m)[:, None, None]
     j = np.arange(n + 1)[None, :, None]
-    return np.nonzero((i + _SHAPE_P <= m) & (j + _SHAPE_G <= n))
+    return np.nonzero((j + _SHAPE_G <= n) & (j <= _MAX_LETTERS * i))
 
 
-def _piece_codes(ids: np.ndarray, size: int) -> np.ndarray:
-    """Code of the piece ids[:, k:k + length] for every start k and length
-    0, 1, 2 (0 is the empty piece, then single ids, then id pairs), as an
-    array of shape (rows, len + 1, 3); pieces past the end read 0."""
-    rows, length = ids.shape
-    codes = np.zeros((rows, length + 1, 3), dtype=np.int64)
-    codes[:, :length, 1] = 1 + ids
-    codes[:, :length - 1, 2] = 1 + size + ids[:, :-1] * size + ids[:, 1:]
+def _piece_codes(chars: np.ndarray, pairs: np.ndarray, n_chars: int, radix: int) -> np.ndarray:
+    """Code of the letter piece at every start k of every length 0 to 4, as
+    an array of shape (rows, len + 1, 5), from the letter ids and the ids of
+    the letter pairs that start at each k: 0 for the empty piece, 1 + letter
+    id for one letter, 1 + n_chars + pair id for two, and for three or four
+    letters the code of the first one or two times radix plus that of the
+    last two. Pieces past the end read 0."""
+    rows, length = chars.shape
+    one, two = 1 + chars, 1 + n_chars + pairs
+    codes = np.zeros((rows, length + 1, _MAX_LETTERS + 1), dtype=np.int64)
+    starts = [max(length + 1 - g, 0) for g in range(_MAX_LETTERS + 1)]
+    codes[:, :starts[1], 1] = one
+    codes[:, :starts[2], 2] = two
+    codes[:, :starts[3], 3] = one[:, :starts[3]] * radix + two[:, 1:]
+    codes[:, :starts[4], 4] = two[:, :starts[4]] * radix + two[:, 2:]
     return codes
 
 
-def _piece(code: int, symbols: list[str]) -> tuple[str, ...]:
-    """The symbols of a piece code made by _piece_codes."""
-    size = len(symbols)
-    if code == 0:
-        return ()
-    if code <= size:
-        return (symbols[code - 1],)
-    first, second = divmod(code - 1 - size, size)
-    return (symbols[first], symbols[second])
+def _piece(code: int, symbols: list[str]) -> str:
+    """The letters of a piece code made by _piece_codes, where symbols
+    lists the letters, then the letter pairs, by id."""
+    head, tail = divmod(code, len(symbols) + 1)
+    return "".join(symbols[c - 1] for c in (head, tail) if c)
 
 
 class _Block:
@@ -142,8 +143,10 @@ class _Block:
     rows share one lattice: rows are the block's distinct rows, and copies
     gives the distinct row of every row.
 
-    Cells (i, j) of all distinct rows are numbered by anti-diagonal i + j,
-    then row, then i, so that each diagonal is one contiguous slice. Edges
+    The cells (i, j) of all distinct rows that a path from (0, 0) reaches,
+    those with j <= _MAX_LETTERS * i, are numbered by anti-diagonal i + j,
+    then row, then i, so that each diagonal is one contiguous slice and
+    every cell past diagonal 0 has an incoming edge. Edges
     are stored in the order the per-row recursion visits them (row, source
     cell row-major, then _SHAPES). Alpha sums each cell's incoming edges in
     that order and beta each cell's outgoing edges in reverse, and counts
@@ -154,7 +157,8 @@ class _Block:
     """
 
     def __init__(self, rows: list[tuple[tuple[str, ...], str]], copies: list[int],
-                 seg_ids: dict[str, int], char_ids: dict[str, int],
+                 seg_ids: dict[str, int], char_ids: dict[str, int], pair_ids: dict[str, int],
+                 templates: dict[tuple[int, int], tuple[np.ndarray, ...]],
                  fields: list[np.ndarray]):
         self._rows = len(rows)
         m = np.array([len(segs) for segs, _ in rows], dtype=np.int64)
@@ -165,7 +169,8 @@ class _Block:
         rd_base = np.concatenate(([0], np.cumsum(last + 2)))
         rd_row = np.repeat(np.arange(self._rows), last + 2)
         rd_diag = np.arange(rd_base[-1]) - rd_base[rd_row]
-        first_i = np.maximum(rd_diag - n[rd_row], 0)
+        # the first i of a diagonal d: d - i <= n, and d - i <= _MAX_LETTERS * i
+        first_i = np.maximum(rd_diag - n[rd_row], -(-rd_diag // (_MAX_LETTERS + 1)))
         width = np.maximum(np.minimum(m[rd_row], rd_diag) - first_i + 1, 0)
         by_diag = np.lexsort((rd_row, rd_diag))
         by_diag = by_diag[width[by_diag] > 0]
@@ -182,33 +187,33 @@ class _Block:
         shapes: dict[tuple[int, int], list[int]] = {}
         for r, (segs, graph) in enumerate(rows):
             shapes.setdefault((len(segs), len(graph)), []).append(r)
-        templates = {shape: _lattice_edges(*shape) for shape in shapes}
         row_edges = np.zeros(self._rows, dtype=np.int64)
         for shape, members in shapes.items():
             row_edges[members] = len(templates[shape][0])
         edge_base = np.concatenate(([0], np.cumsum(row_edges)))
         n_edges = int(edge_base[-1])
-        n_segs, n_chars = len(seg_ids), len(char_ids)
-        letter_codes = 1 + n_chars + n_chars * n_chars
-        # five int32 arrays and one int8 array of n_edges entries, filled here
-        src, tgt, cid, fwd, bwd, rank = fields
+        n_chars = len(char_ids)
+        radix = 1 + n_chars + len(pair_ids)
+        # five int32 arrays of n_edges entries, filled here
+        src, tgt, cid, fwd, bwd = fields
         keys = np.empty(n_edges, dtype=np.int64)
         for shape, members in shapes.items():
             ti, tj, ts = templates[shape]
-            tp, tg = _SHAPE_P[ts], _SHAPE_G[ts]
+            tg = _SHAPE_G[ts]
             base = rd_base[members][:, None]
             at = edge_base[members][:, None] + np.arange(len(ti))
             src[at] = cell_start[base + ti + tj] + ti
-            tgt[at] = cell_start[base + ti + tp + tj + tg] + ti + tp
-            rank[at] = _TIE_RANK[ts]
-            phones = _piece_codes(np.array([[seg_ids[s] for s in rows[r][0]] for r in members]),
-                                  n_segs)
-            letters = _piece_codes(np.array([[char_ids[c] for c in rows[r][1]] for r in members]),
-                                   n_chars)
-            keys[at] = phones[:, ti, tp] * letter_codes + letters[:, tj, tg]
+            tgt[at] = cell_start[base + ti + 1 + tj + tg] + ti + 1
+            phones = np.array([[seg_ids[s] for s in rows[r][0]] for r in members])
+            graphs = [rows[r][1] for r in members]
+            chars = np.array([[char_ids[c] for c in graph] for graph in graphs])
+            pairs = np.array([[pair_ids[graph[k:k + 2]] for k in range(len(graph) - 1)]
+                              for graph in graphs], dtype=np.int64)
+            letters = _piece_codes(chars, pairs, n_chars, radix)
+            keys[at] = phones[:, ti] * radix ** 2 + letters[:, tj, tg]
         self.codes, cid[:] = np.unique(keys, return_inverse=True)
         del keys
-        self._src, self._tgt, self._cid, self._rank = src, tgt, cid, rank
+        self._src, self._tgt, self._cid = src, tgt, cid
         # edges grouped by target, and by source with the shapes reversed
         fwd[:] = np.argsort(tgt, kind="stable")
         bwd[:] = n_edges - 1 - np.argsort(src[::-1], kind="stable")
@@ -311,7 +316,7 @@ class _Block:
         """Chunk ids along the best path of every distinct row under chunk
         log weights, None for a row without a path. Float max is exact, so
         the best score does not depend on the order of the edges; among
-        equal-score edges into one cell the lowest _TIE_RANK wins."""
+        equal-score edges into one cell the one with fewer letters wins."""
         src, cid = self._src, self._cid
         score = np.full(self._n_cells, -math.inf)
         score[:self._rows] = 0.0
@@ -324,9 +329,11 @@ class _Block:
             starts = np.searchsorted(t, np.arange(hi - lo))
             cand = score[src[e]] + logs[cid[e]]
             best = np.maximum.reduceat(cand, starts)
-            rank = np.where(cand == best[t], self._rank[e], len(_SHAPES))
             score[lo:hi] = best
-            back[lo:hi] = e[rank == np.minimum.reduceat(rank, starts)[t]]
+            # a cell's edges come by source cell, so by letters descending:
+            # the last one that ties has the fewest letters
+            tied = np.where(cand == best[t], np.arange(len(e)), -1)
+            back[lo:hi] = e[np.maximum.reduceat(tied, starts)]
         # walk all rows back from their final cells at once, one edge a step
         reached = np.flatnonzero(score[self._final_cell] > -math.inf)
         on_path = np.zeros(len(cid), dtype=bool)
@@ -356,34 +363,50 @@ class _Lattices:
     def __init__(self, rows: list[tuple[tuple[str, ...], str]]):
         seg_ids: dict[str, int] = {}
         char_ids: dict[str, int] = {}
+        pair_ids: dict[str, int] = {}
         for segs, graph in rows:
             for s in segs:
                 seg_ids.setdefault(s, len(seg_ids))
             for c in graph:
                 char_ids.setdefault(c, len(char_ids))
+            for k in range(len(graph) - 1):
+                pair_ids.setdefault(graph[k:k + 2], len(pair_ids))
         blocks = []
         for b in range(0, len(rows), _BLOCK_ROWS):
             distinct: dict[tuple[tuple[str, ...], str], int] = {}
             copies = [distinct.setdefault(row, len(distinct)) for row in rows[b:b + _BLOCK_ROWS]]
             blocks.append((list(distinct), copies))
-        ends = np.cumsum([0] + [sum(_edge_count(len(segs), len(graph)) for segs, graph in distinct)
-                                for distinct, _ in blocks])
+        templates = {shape: _lattice_edges(*shape)
+                     for shape in {(len(segs), len(graph)) for segs, graph in rows}}
+        ends = np.cumsum([0] + [sum(len(templates[len(segs), len(graph)][0])
+                                    for segs, graph in distinct) for distinct, _ in blocks])
         # one allocation per edge field for all blocks: many block-sized
         # arrays land in the C heap, which keeps their pages after the fit
-        fields = [np.empty(int(ends[-1]), dtype=dtype) for dtype in [np.int32] * 5 + [np.int8]]
-        self._blocks = [_Block(distinct, copies, seg_ids, char_ids, [f[lo:hi] for f in fields])
+        fields = [np.empty(int(ends[-1]), dtype=np.int32) for _ in range(5)]
+        self._blocks = [_Block(distinct, copies, seg_ids, char_ids, pair_ids, templates,
+                               [f[lo:hi] for f in fields])
                         for (distinct, copies), lo, hi in zip(blocks, ends[:-1], ends[1:])]
         self._codes = np.unique(np.concatenate([np.zeros(0, dtype=np.int64)]
                                                + [block.codes for block in self._blocks]))
         for block in self._blocks:
             block.number_chunks(self._codes)
         self.n_chunks = len(self._codes)
-        self._symbols = (list(seg_ids), list(char_ids), 1 + len(char_ids) + len(char_ids) ** 2)
+        # a chunk's code is its segment id * (1 + len(symbols)) ** 2 plus
+        # the code of its letters
+        self._symbols = (list(seg_ids), list(char_ids) + list(pair_ids), len(char_ids))
 
     def chunk(self, chunk_id: int) -> Chunk:
-        segs, chars, letter_codes = self._symbols
-        phones, letters = divmod(int(self._codes[chunk_id]), letter_codes)
-        return (_piece(phones, segs), "".join(_piece(letters, chars)))
+        segs, symbols, _ = self._symbols
+        seg, letters = divmod(int(self._codes[chunk_id]), (1 + len(symbols)) ** 2)
+        return ((segs[seg],), _piece(letters, symbols))
+
+    def start_weights(self) -> np.ndarray:
+        """The chunk weights of the first E pass: 1 for a chunk of one
+        letter, whose code is 1 + its letter id, and _START_WEIGHT for
+        every other."""
+        _, symbols, n_chars = self._symbols
+        letters = self._codes % (1 + len(symbols)) ** 2
+        return np.where((letters >= 1) & (letters <= n_chars), 1.0, _START_WEIGHT)
 
     def expected_counts(self, weights: np.ndarray):
         """One E step under chunk weights: (expected count per chunk id, the
@@ -437,10 +460,12 @@ class ChunkAligner:
     """EM-trained chunk probabilities and the Viterbi chunking they induce.
 
     fit() compiles the chunk lattices of its pairs once and runs EM over
-    them. The first E pass weights every allowed chunk uniformly, so the
-    initial expected counts are pure path statistics; later passes reweight
-    by the current chunk distribution. viterbi() then reads the best
-    chunking of every pair off the same lattices, and releases them.
+    them. The first E pass weights each chunk of one phoneme and one letter
+    1 and every other chunk _START_WEIGHT, so that EM starts from 1:1
+    chunkings and does not explain a small stream by long chunks; later
+    passes reweight by the current chunk distribution. viterbi() then reads
+    the best chunking of every pair off the same lattices, and releases
+    them.
     """
 
     def __init__(self):
@@ -467,7 +492,7 @@ class ChunkAligner:
         stats = {"pairs": len(pairs), "ratio_skipped": len(pairs) - len(usable),
                  "unalignable": len(usable), "log_likelihood": log_likelihood}
         lattices = _Lattices(usable)
-        weights = np.ones(lattices.n_chunks)
+        weights = lattices.start_weights()
         kept = np.zeros(0, dtype=np.intp)
         for k in range(iterations):
             counts, order, previous = lattices.expected_counts(weights)
@@ -500,8 +525,8 @@ class ChunkAligner:
         last fit() saw, in its order; None for a pair outside the length
         ratio or without a path through the kept chunks. Ties are broken
         cell by cell from the end back: of the equal-score chunks that end
-        at one lattice cell, the one with fewer symbols, then fewer
-        phonemes, wins. Releases the lattices, so it runs once per fit()."""
+        at one lattice cell, the one with fewer letters wins. Releases the
+        lattices, so it runs once per fit()."""
         if self._fitted is None:
             raise RuntimeError("viterbi() reads the lattices of a fit() not yet read")
         ok, lattices, logs, chunks = self._fitted
@@ -516,43 +541,18 @@ def _check_order(order: int) -> None:
 
 
 class _Window:
-    """The chunks decode can add at one input position: those of one chunk
-    index's keys of 0, 1 and 2 phonemes found there. Their scores after a
-    context do not depend on the query, so one window serves them all."""
+    """The chunks of one segment that decode can add where it occurs. Their
+    scores after a context do not depend on the query, so one window serves
+    them all."""
 
-    __slots__ = ("groups", "entries", "scored")
+    __slots__ = ("tokens", "letters", "scored")
 
-    def __init__(self, keys: tuple[tuple[str, ...], ...],
-                 chunks: dict[tuple[str, ...], list[tuple[int, str]]]):
-        # the token ids of each key, as _probs scores them
-        self.groups = tuple(tuple(tok for tok, _ in chunks[key]) for key in keys)
-        # (phonemes consumed, token id, letters) of every chunk, in group order
-        self.entries = tuple((len(key), tok, letters) for key in keys
-                             for tok, letters in chunks[key])
+    def __init__(self, group: list[tuple[int, str]]):
+        # the token ids, as _probs scores them, and the letters of each
+        self.tokens = tuple(tok for tok, _ in group)
+        self.letters = tuple(letters for _, letters in group)
         # per trained context: JointModel._expansions
-        self.scored: dict[tuple[int, ...], tuple[tuple[tuple[float, int, str], ...], ...]] = {}
-
-
-class _Index:
-    """The chunks decode offers, by phoneme tuple, and the windows of their
-    keys that decode has used."""
-
-    __slots__ = ("chunks", "windows")
-
-    def __init__(self, chunks: dict[tuple[str, ...], list[tuple[int, str]]]):
-        self.chunks = chunks
-        self.windows: dict[tuple[tuple[str, ...], ...], _Window] = {}
-
-    def window(self, segs: tuple[str, ...], pos: int) -> _Window | None:
-        """The window of the keys found at pos, None where no chunk starts."""
-        keys = tuple(segs[pos:pos + plen] for plen in range(min(3, len(segs) + 1 - pos))
-                     if segs[pos:pos + plen] in self.chunks)
-        if not keys:
-            return None
-        window = self.windows.get(keys)
-        if window is None:
-            window = self.windows[keys] = _Window(keys, self.chunks)
-        return window
+        self.scored: dict[tuple[int, ...], tuple[tuple[float, int, str], ...]] = {}
 
 
 class JointModel:
@@ -589,8 +589,9 @@ class JointModel:
         self.counts = counts
         self.training_stats = dict(training_stats or {})
         if not all(map(_is_token, tokens)):
-            raise ValueError("token table holds a token that is not a boundary, "
-                             "a tag with a str name or a chunk of str phonemes and letters")
+            raise ValueError("token table holds a token that is not a boundary, a tag with a "
+                             f"str name or a chunk of one str phoneme and at most {_MAX_LETTERS} "
+                             "str letters")
         if any(a >= b for a, b in zip(tokens, tokens[1:])):
             raise ValueError("token table not sorted or not distinct")
         self.ids = {tok: i for i, tok in enumerate(self.tokens)}
@@ -605,12 +606,12 @@ class JointModel:
                              "history token is missing")
         self.vocab: frozenset[int] = frozenset(counts.get((), ()))
         self.tags = frozenset(tok[1] for tok in self.tokens if tok[0] == "tag")
-        # chunk ids and letters by phoneme tuple, letters in table order
-        self.chunk_index: dict[tuple[str, ...], list[tuple[int, str]]] = {}
+        # chunk ids and letters by segment, letters in table order
+        self.chunk_index: dict[str, list[tuple[int, str]]] = {}
         for i in sorted(self.vocab):
             tok = self.tokens[i]
             if tok[0] == "chunk":
-                self.chunk_index.setdefault(tok[1], []).append((i, tok[2]))
+                self.chunk_index.setdefault(tok[1][0], []).append((i, tok[2]))
         self._ctx_stats: dict[tuple[int, ...], tuple[int, int]] = {
             ctx: (sum(bucket.values()), len(bucket)) for ctx, bucket in counts.items()
         }
@@ -620,12 +621,12 @@ class JointModel:
         self.discounts = tuple(n1 / (n1 + 2 * n2) if n1 and n2 else _FALLBACK_DISCOUNT
                                for n1, n2 in ((seen[k, 1], seen[k, 2]) for k in range(order)))
         # P(tokens | trained context) per (context, token tuple); the tuples
-        # are chunk groups of an index below or single tokens, so the model
+        # are the tokens of a window below or single tokens, so the model
         # bounds it
         self._probs_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, ...]] = {}
-        # decode's chunk index per tag id, None for chunk_index, each with
-        # its scored windows for all queries
-        self._indexes: dict[int | None, _Index] = {}
+        # decode's window per segment, per tag id and None for chunk_index,
+        # each scored for all queries
+        self._indexes: dict[int | None, dict[str, _Window]] = {}
 
     def prob(self, token: int, context: Sequence[int]) -> float:
         """P(token | context) of token ids. An unseen history puts full
@@ -659,33 +660,27 @@ class JointModel:
             max(bucket.get(tok, 0) - d, 0.0) / total + lam * low for tok, low in zip(tokens, lower))
         return value
 
-    def _index(self, tag_id: int | None) -> _Index:
-        """The chunks counted after the context (tag_id,), or all of
-        chunk_index for None."""
+    def _index(self, tag_id: int | None) -> dict[str, _Window]:
+        """The window of every segment with chunks counted after the context
+        (tag_id,), or with chunks in chunk_index for None."""
         index = self._indexes.get(tag_id)
         if index is None:
-            chunks = self.chunk_index
-            if tag_id is not None:
-                trained = self.counts[(tag_id,)]
-                chunks = {key: kept for key, group in chunks.items()
-                          if (kept := [(tok, letters) for tok, letters in group
-                                       if tok in trained])}
-            index = self._indexes[tag_id] = _Index(chunks)
+            trained = self.vocab if tag_id is None else self.counts[(tag_id,)]
+            index = self._indexes[tag_id] = {
+                seg: _Window(kept) for seg, group in self.chunk_index.items()
+                if (kept := [(tok, letters) for tok, letters in group if tok in trained])}
         return index
 
     def _expansions(self, context: tuple[int, ...],
-                    window: _Window) -> tuple[tuple[tuple[float, int, str], ...], ...]:
+                    window: _Window) -> tuple[tuple[float, int, str], ...]:
         """(log-probability, token id, letters) of a window's chunks after a
-        trained context, split by phonemes consumed (0, 1, 2), best first."""
+        trained context, best first."""
         rows = window.scored.get(context)
         if rows is None:
             # math.log, not np.log, whose rounding may differ
-            logs = [math.log(p) for group in window.groups for p in self._probs(context, group)]
-            split: tuple[list, list, list] = ([], [], [])
-            for lp, (plen, tok, letters) in zip(logs, window.entries):
-                split[plen].append((lp, tok, letters))
-            rows = window.scored[context] = tuple(
-                tuple(sorted(part, key=itemgetter(0), reverse=True)) for part in split)
+            logs = map(math.log, self._probs(context, window.tokens))
+            rows = window.scored[context] = tuple(sorted(
+                zip(logs, window.tokens, window.letters), key=itemgetter(0), reverse=True))
         return rows
 
     def _next_state(self, context: tuple[int, ...], token: int) -> tuple[int, ...]:
@@ -761,13 +756,15 @@ def _is_id(value, size: float = math.inf) -> bool:
 
 
 def _is_token(tok) -> bool:
-    """BOS, EOS, ("tag", name) or ("chunk", phonemes, letters), of str."""
+    """BOS, EOS, ("tag", name) or ("chunk", (phoneme,), letters), of str,
+    with at most _MAX_LETTERS letters: decode offers no other chunk."""
     if tok in (BOS, EOS):
         return True
     if len(tok) == 2 and tok[0] == "tag":
         return isinstance(tok[1], str)
     return (len(tok) == 3 and tok[0] == "chunk" and isinstance(tok[1], tuple)
-            and all(isinstance(p, str) for p in tok[1]) and isinstance(tok[2], str))
+            and len(tok[1]) == 1 and isinstance(tok[1][0], str)
+            and isinstance(tok[2], str) and len(tok[2]) <= _MAX_LETTERS)
 
 
 def train(
@@ -831,17 +828,16 @@ def beam_decode(
     Stack q holds hypotheses that have consumed q input segments, each a
     log-probability, a state (the longest trained context of its history)
     and a surface; of hypotheses with one state and surface only the best
-    is kept. Stack q is filled from the 1-phoneme chunks after stack q - 1
-    and the 2-phoneme chunks after stack q - 2, then takes in 0-phoneme
-    chunks after its own hypotheses until none enters. Surfaces are bounded
-    by 3 x segments + 5 characters, and EOS is paid on the last stack.
+    is kept. Stack q is filled from stack q - 1 by the chunks of segment q.
+    Surfaces are bounded by 3 x segments + 5 characters, and EOS is paid on
+    the last stack.
 
     A stack keeps the beam_width (3 x n_best by default) best hypotheses,
     ties broken by surface, then state (the histogram pruning of stack
     decoders; Koehn 2004). Each hypothesis reads its chunks'
     log-probabilities, sorted, from the model's cache for its state and
-    input position, and one lazy merge of those lists builds only the
-    hypotheses that can enter the stack.
+    segment, and one lazy merge of those lists builds only the hypotheses
+    that can enter the stack.
 
     Only the chunks trained under the tag are offered, and all trained
     chunks where those decode nothing. An unseen tag warns and decodes
@@ -875,29 +871,16 @@ def beam_decode(
 _Hyp = tuple[float, tuple[int, ...], str]
 
 
-def _stack_search(model: JointModel, index: _Index, segs: tuple[str, ...],
+def _stack_search(model: JointModel, index: dict[str, _Window], segs: tuple[str, ...],
                   start: tuple[int, ...], n_best: int, width: int) -> list[Candidate]:
     max_out = 3 * len(segs) + 5
-    windows = [index.window(segs, pos) for pos in range(len(segs) + 1)]
-
-    def streams(hyps: list[_Hyp], window: _Window | None, plen: int):
-        # each hyp's expansions by plen-phoneme chunks, best first
-        if window is not None:
-            for hyp in hyps:
-                rows = model._expansions(hyp[1], window)[plen]
-                if rows:
-                    yield _fitting(hyp, rows, max_out)
-
-    older: list[_Hyp] = []
-    stack: list[_Hyp] = []
-    for q in range(len(segs) + 1):
-        if q:  # stack q - 2 is empty for q = 1
-            fresh = [*streams(stack, windows[q - 1], 1), *streams(older, windows[q - 2], 2)]
-            older, (stack, new) = stack, _admit(model, [], fresh, width)
-        else:
-            stack = new = [(0.0, start, "")]
-        while new:
-            stack, new = _admit(model, stack, list(streams(new, windows[q], 0)), width)
+    stack: list[_Hyp] = [(0.0, start, "")]
+    for seg in segs:
+        window = index.get(seg)
+        if window is None:
+            return []
+        stack = _admit(model, [_fitting(hyp, model._expansions(hyp[1], window), max_out)
+                               for hyp in stack], width)
     eos = (model.ids[EOS],)
     final: dict[str, float] = {}
     for lp, state, out in stack:
@@ -918,31 +901,27 @@ def _fitting(hyp: _Hyp, rows, max_out: int):
             yield lp + s, state, tok, out + letters
 
 
-def _admit(model: JointModel, stack: list[_Hyp], sources: list, width: int):
-    """The width best of a stack, sorted by score, then surface, then
-    state, and the hypotheses the sources' rows make, each a sorted stream
-    of (log_prob, state, token, surface); and those of them that entered.
+def _admit(model: JointModel, sources: list, width: int) -> list[_Hyp]:
+    """The width best hypotheses that the sources' rows make, each source a
+    sorted stream of (log_prob, state, token, surface), sorted by score,
+    then surface, then state.
 
-    One merge walks the rows best first and stops below the stack's floor,
-    or below the width-th distinct new hypothesis: no row past either can
-    enter. A hypothesis is new if the stack lacks its state and surface or
-    holds them with a lower score; its first row is its best."""
-    floor = stack[width - 1][0] if len(stack) >= width else -math.inf
-    best = {(state, out): lp for lp, state, out in stack}
+    One merge walks the rows best first and stops below the width-th
+    distinct hypothesis, where no later row can enter; a hypothesis's
+    first row is its best."""
+    floor = -math.inf
     found: dict[tuple[tuple[int, ...], str], float] = {}
     for lp, state, tok, out in heapq.merge(*sources, key=itemgetter(0), reverse=True):
         if lp < floor:
             break
         key = (model._next_state(state, tok), out)
-        if key in found or best.get(key, -math.inf) >= lp:
+        if key in found:
             continue
         found[key] = lp
         if len(found) == width:
             floor = lp
-    best.update(found)
-    ranked = sorted(((lp, state, out) for (state, out), lp in best.items()),
-                    key=lambda h: (-h[0], h[2], h[1]))[:width]
-    return ranked, [h for h in ranked if (h[1], h[2]) in found]
+    return sorted(((lp, state, out) for (state, out), lp in found.items()),
+                  key=lambda h: (-h[0], h[2], h[1]))[:width]
 
 
 def write_candidates_tsv(path, blocks: Iterable[tuple[str, str, list[Candidate]]]) -> None:

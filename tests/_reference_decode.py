@@ -5,10 +5,11 @@ search in polyipa.model.
 It scores each hypothesis as beam_decode does, through model.log_prob on
 the raw history: BOS ... BOS and the chunks so far, then the query's tag
 last (the empty context for an unseen tag); the same output-length bound;
-EOS paid once all segments are consumed. It offers the chunks counted after
-the tag alone, and all trained chunks where those emit nothing or the tag
-is not a context. With a width no smaller than the number of hypotheses
-visited, beam_decode must return the best of these surfaces.
+EOS paid once all segments are consumed. At each position it offers the
+chunks of that position's segment: those counted after the tag alone, and
+all trained ones where those emit nothing or the tag is not a context.
+With a width no smaller than the number of hypotheses visited, beam_decode
+must return the best of these surfaces.
 """
 
 from __future__ import annotations
@@ -40,14 +41,11 @@ def exhaustive(model, tag, ipa):
             flp = lp + model.log_prob(eos, ctx)
             if flp > best.get(out, -math.inf):
                 best[out] = flp
-        for plen in (0, 1, 2):
-            if pos + plen > len(segs):
-                break
-            for tok, letters in chunks.get(segs[pos:pos + plen], ()):
-                out2 = out + letters
-                if len(out2) <= max_out:
-                    walk(chunks, best, pos + plen, hist + (tok,), out2,
-                         lp + model.log_prob(tok, ctx))
+            return
+        for tok, letters in chunks.get(segs[pos], ()):
+            out2 = out + letters
+            if len(out2) <= max_out:
+                walk(chunks, best, pos + 1, hist + (tok,), out2, lp + model.log_prob(tok, ctx))
 
     best: dict[str, float] = {}
     if tail and tail in model.counts:

@@ -3,12 +3,14 @@ lattices, one row at a time, independent of the batched kernel in
 polyipa.model.
 
 `fit` returns (probs, stats) with probs in the order of each chunk's first
-positive posterior; the batched kernel must reproduce both bit for bit.
+positive posterior; the batched kernel must reproduce both bit for bit. Its
+first E pass weights each chunk of one letter 1 and every other chunk
+_START_WEIGHT, as the kernel's does.
 """
 
 from __future__ import annotations
 
-from polyipa.model import _EM_ITERATIONS, _SHAPES, _ratio_ok
+from polyipa.model import _EM_ITERATIONS, _SHAPES, _START_WEIGHT, _ratio_ok
 
 
 def fit(pairs, iterations=_EM_ITERATIONS, min_prob=1e-12):
@@ -20,10 +22,9 @@ def fit(pairs, iterations=_EM_ITERATIONS, min_prob=1e-12):
     probs = {}
     for iteration in range(max(1, iterations)):
         counts = {}
-        uniform = iteration == 0
         unalignable = 0
         for segs, graph in usable:
-            if not _accumulate(segs, graph, None if uniform else probs, counts):
+            if not _accumulate(segs, graph, None if iteration == 0 else probs, counts):
                 unalignable += 1
         total = sum(counts.values())
         if total <= 0.0:
@@ -49,7 +50,10 @@ def _accumulate(segs, graph, probs, counts):
                 if i2 > m or j2 > n:
                     continue
                 chunk = (segs[i:i2], graph[j:j2])
-                w = 1.0 if probs is None else probs.get(chunk, 0.0)
+                if probs is None:  # the start
+                    w = 1.0 if len(chunk[1]) == 1 else _START_WEIGHT
+                else:
+                    w = probs.get(chunk, 0.0)
                 if w == 0.0:
                     continue
                 alpha[i2][j2] += a * w

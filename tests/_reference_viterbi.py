@@ -23,7 +23,7 @@ def chunkings(probs, pairs):
 
 def viterbi(logs, segs, graph):
     """Maximum-likelihood chunking under chunk log probabilities; ties prefer
-    smaller chunks, then the lexicographically smaller chunk."""
+    the chunk with fewer letters."""
     m, n = len(segs), len(graph)
     if not _ratio_ok(m, n):
         return None
@@ -49,12 +49,8 @@ def viterbi(logs, segs, graph):
                 if cand > cur:
                     score[i2][j2] = cand
                     back[i2][j2] = (i, j, chunk)
-                elif cand == cur and back[i2][j2] is not None:
-                    old = back[i2][j2][2]
-                    new_key = (p + g, p, chunk)
-                    old_key = (len(old[0]) + len(old[1]), len(old[0]), old)
-                    if new_key < old_key:
-                        back[i2][j2] = (i, j, chunk)
+                elif cand == cur and g < len(back[i2][j2][2][1]):
+                    back[i2][j2] = (i, j, chunk)
     if score[m][n] == neg_inf:
         return None
     chunks = []

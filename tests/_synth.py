@@ -3,7 +3,8 @@
 The shallow corpus spells every phoneme with one fixed grapheme, plus three
 digraphs, so a correct model can reach zero error on it. The ambiguous
 corpus spells one phoneme two ways with equal frequency, which pins the
-achievable top-1 accuracy at one half.
+achievable top-1 accuracy at one half. The deep corpus spells several
+phonemes by their neighbours.
 """
 
 from __future__ import annotations
@@ -90,3 +91,89 @@ def ambiguous_lexicon(words: list[str], lang: str = "eo") -> Lexicon:
         for choice in AMBIG_SPELLINGS:
             entries.append(PronEntry(lang, spell_ambiguous(ipa, choice), parse_ipa(ipa)))
     return Lexicon(entries)
+
+
+# The deep corpus: one German-like spelling, where a phoneme's letters
+# depend on its neighbours. k is c before a back vowel, ck after a vowel
+# before a consonant, and k otherwise; s is ss between vowels; ʃ is s
+# before the t or p of a word-initial cluster, and sch otherwise; t͡s is tz
+# after a vowel, and z otherwise; ks is x, and aj is ei; a vowel takes h
+# before a sonorant that closes its syllable. Every rule reads the phonemes
+# only, so a model can learn it from context.
+DEEP_CONSONANTS = ["p", "b", "t", "d", "k", "ɡ", "m", "n", "ŋ", "l", "r", "s",
+                   "z", "f", "v", "ʃ", "t͡ʃ", "x", "t͡s", "j"]
+DEEP_VOWELS = ["a", "e", "i", "o", "u", "ø", "y", "ə"]
+DEEP_MAP = {"ɡ": "g", "ŋ": "ng", "z": "s", "v": "w", "ʃ": "sch", "t͡ʃ": "tsch",
+            "x": "ch", "t͡s": "z", "ø": "ö", "y": "ü", "ə": "e"}
+_VOWEL_SET = frozenset(DEEP_VOWELS)
+_BACK_VOWELS = frozenset("aou")
+_SONORANTS = frozenset("lmnr")
+
+
+def _deep_phones(rng: random.Random) -> list[str]:
+    cluster = rng.random() < 0.15
+    phones = ["ʃ", rng.choice(["t", "p"])] if cluster else []
+    for syllable in range(rng.randint(2, 4)):
+        if not (cluster and syllable == 0) and rng.random() < 0.85:
+            phones.append(rng.choice(DEEP_CONSONANTS))
+        phones += ["a", "j"] if rng.random() < 0.1 else [rng.choice(DEEP_VOWELS)]
+        coda = rng.random()
+        if coda < 0.1:
+            phones += ["k", "s"]
+        elif coda < 0.35:
+            phones.append(rng.choice(DEEP_CONSONANTS))
+    return phones
+
+
+def spell_deep(phones: list[str]) -> str:
+    """The deep spelling of a phoneme list."""
+    out = []
+    for i, p in enumerate(phones):
+        prev = phones[i - 1] if i else None
+        after = phones[i + 1] if i + 1 < len(phones) else None
+        if p == "k":
+            if after == "s":
+                out.append("x")
+            elif after in _BACK_VOWELS:
+                out.append("c")
+            elif prev in _VOWEL_SET and after is not None and after not in _VOWEL_SET:
+                out.append("ck")
+            else:
+                out.append("k")
+        elif p == "s" and prev == "k":
+            out.append("")
+        elif p == "s" and prev in _VOWEL_SET and after in _VOWEL_SET:
+            out.append("ss")
+        elif p == "ʃ" and i == 0 and after in ("t", "p"):
+            out.append("s")
+        elif p == "t͡s" and prev in _VOWEL_SET:
+            out.append("tz")
+        elif p == "a" and after == "j":
+            out.append("e")
+        elif p == "j" and prev == "a":
+            out.append("i")
+        elif p in _VOWEL_SET:
+            closing = after in _SONORANTS and (i + 2 == len(phones) or phones[i + 2] not in _VOWEL_SET)
+            out.append(DEEP_MAP.get(p, p) + ("h" if closing else ""))
+        else:
+            out.append(DEEP_MAP.get(p, p))
+    return "".join(out)
+
+
+def deep_words(n: int, seed: int) -> list[tuple[str, str]]:
+    """n distinct (grapheme, ipa) words under the deep spelling."""
+    rng = random.Random(seed)
+    words: list[tuple[str, str]] = []
+    seen: set[str] = set()
+    while len(words) < n:
+        phones = _deep_phones(rng)
+        ipa = "".join(phones)
+        if ipa in seen:
+            continue
+        seen.add(ipa)
+        words.append((spell_deep(phones), ipa))
+    return words
+
+
+def deep_lexicon(n: int, seed: int, lang: str = "de") -> Lexicon:
+    return Lexicon(PronEntry(lang, graph, parse_ipa(ipa)) for graph, ipa in deep_words(n, seed))

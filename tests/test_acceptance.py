@@ -4,8 +4,9 @@ Each test prints one `[criterion NN] name: PASS/FAIL` line and enforces its
 pinned tolerance and time budget. The oracles are independent of the code
 under test: memoized recursion for the distance table, exact rational
 arithmetic for the split allocation, a pure-Python two-row DP over every
-pair for mining, brute-force enumeration for beam search, and the
-benchmark's seeded corpus generator for the multilingual pipeline.
+pair for mining, brute-force enumeration for beam search, the
+benchmark's seeded corpus generator for the multilingual pipeline, and
+the context rules of a seeded deep spelling.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from _synth import (
     AMBIG_SPELLINGS,
     ambiguous_lexicon,
     ambiguous_words,
+    deep_lexicon,
     shallow_lexicon,
     spell_ambiguous,
 )
@@ -71,6 +73,11 @@ AMBIG_TOP2_BOUND = 0.02
 BLEU_IDENTITY_TOLERANCE = 1e-12
 MULTILINGUAL_CER_BOUND = 0.07
 MULTILINGUAL_TOP3_CER_BOUND = 0.04
+# chunks of up to 2 phonemes by 2 letters, from a uniform EM start, reached
+# CER 0.01721 and top-3 CER 0.00195 on the deep corpus below
+DEEP_CER_BOUND = 0.0173
+DEEP_TOP3_CER_BOUND = 0.0020
+DEEP_TIME_LIMIT = 60.0
 
 
 @contextmanager
@@ -379,20 +386,29 @@ def _benchmark_workloads():
     return module
 
 
-def test_criterion_10_multilingual_corpus(tmp_path):
+@pytest.fixture(scope="module")
+def multilingual_run(tmp_path_factory):
+    """The split directory and the candidates of the 4-language corpus run
+    through clean, split, train and predict."""
+    tmp_path = tmp_path_factory.mktemp("multilingual")
+    workloads = _benchmark_workloads()
+    raw = workloads.write_p2g_inputs(tmp_path, "1/0", {"words": 1000}).files["raw"]
+    splits, model, cands = tmp_path / "splits", tmp_path / "m.json", tmp_path / "c.tsv"
+    for argv in (
+            ["clean", "--input", str(raw), "--output", str(tmp_path / "clean.tsv")],
+            ["split", "--input", str(tmp_path / "clean.tsv"), "--test", "200",
+             "--eval", "0", "--seed", "7", "--out-dir", str(splits)],
+            ["train", "--input", str(splits / "train.tsv"), "--order", "6",
+             "--output", str(model)],
+            ["predict", "--model", str(model), "--input", str(splits / "test.tsv"),
+             "--n-best", "5", "--output", str(cands)]):
+        assert cli.main(argv) == 0, argv[0]
+    return splits, cands
+
+
+def test_criterion_10_multilingual_corpus(multilingual_run):
     with criterion(10, "4-language corpus decodes every query"):
-        workloads = _benchmark_workloads()
-        raw = workloads.write_p2g_inputs(tmp_path, "1/0", {"words": 1000}).files["raw"]
-        splits, model, cands = tmp_path / "splits", tmp_path / "m.json", tmp_path / "c.tsv"
-        for argv in (
-                ["clean", "--input", str(raw), "--output", str(tmp_path / "clean.tsv")],
-                ["split", "--input", str(tmp_path / "clean.tsv"), "--test", "200",
-                 "--eval", "0", "--seed", "7", "--out-dir", str(splits)],
-                ["train", "--input", str(splits / "train.tsv"), "--order", "6",
-                 "--output", str(model)],
-                ["predict", "--model", str(model), "--input", str(splits / "test.tsv"),
-                 "--n-best", "5", "--output", str(cands)]):
-            assert cli.main(argv) == 0, argv[0]
+        splits, cands = multilingual_run
         test = Lexicon.read_tsv(splits / "test.tsv")
         assert len(test) == 200
         blocks = load_external_candidates(cands)
@@ -408,3 +424,39 @@ def test_criterion_10_multilingual_corpus(tmp_path):
         assert empty == 0
         assert total / len(test) <= MULTILINGUAL_CER_BOUND, total / len(test)
         assert top3 / len(test) <= MULTILINGUAL_TOP3_CER_BOUND, top3 / len(test)
+
+
+def test_every_trained_segment_has_a_chunk_under_its_tag(multilingual_run):
+    # every chunk consumes one segment, so each segment of an aligned row
+    # trains a chunk under the row's tag, and no test query needs the
+    # all-chunks fallback
+    splits, _ = multilingual_run
+    train_lex = Lexicon.read_tsv(splits / "train.tsv")
+    model = train(train_lex, order=6)
+    assert model.training_stats["alignment_failures"] == 0
+    for entry in train_lex:
+        index = model._index(model.ids[("tag", lang_script_tag(entry))])
+        assert all(seg.text in index for seg in entry.ipa.segments), entry
+    for entry in Lexicon.read_tsv(splits / "test.tsv"):
+        assert beam_decode(model, lang_script_tag(entry), entry.ipa, n_best=5), entry
+    assert None not in model._indexes
+
+
+# criterion 11: a deep orthography, whose spelling depends on context, is learned
+
+def test_criterion_11_deep_orthography_cer():
+    with criterion(11, "deep orthography held-out CER"):
+        started = time.monotonic()
+        train_lex, _, test_lex = stratified_split(
+            deep_lexicon(1000, seed=1), SplitSpec(test_size=200, eval_size=0, seed=7))
+        model = train(train_lex, order=6)
+        total = top3 = 0.0
+        for entry in test_lex:
+            cands = beam_decode(model, lang_script_tag(entry), entry.ipa, n_best=3)
+            # an empty decode counts as CER 1
+            cers = [cer(entry.grapheme, c.grapheme) for c in cands] or [1.0]
+            total += cers[0]
+            top3 += min(cers)
+        assert total / len(test_lex) <= DEEP_CER_BOUND, total / len(test_lex)
+        assert top3 / len(test_lex) <= DEEP_TOP3_CER_BOUND, top3 / len(test_lex)
+        assert time.monotonic() - started < DEEP_TIME_LIMIT

@@ -96,25 +96,44 @@ def test_alignment_rejects_extreme_ratios():
 
 def test_alignment_fails_without_covering_chunks():
     assert _reference_viterbi.chunkings({(("a",), "a"): 1.0}, [(("b",), "b")]) == [None]
-    # one rare row among 600 copies: min_prob prunes all its chunks
-    pairs = [(("a",), "a")] * 600 + [(("x",), "q")]
+    # one rare row among 1200 copies: its only chunk has 1/1201 of the
+    # counts, and min_prob prunes it
+    pairs = [(("a",), "a")] * 1200 + [(("x",), "q")]
     aligner = ChunkAligner()
     assert aligner.fit(pairs, iterations=1, min_prob=1e-3)["unalignable"] == 1
-    assert set(aligner.probs) == {(("a",), "a"), (("a",), ""), ((), "a")}
+    assert set(aligner.probs) == {(("a",), "a")}
     chunkings = aligner.viterbi()
     assert chunkings[0] == ((("a",), "a"),)
     assert chunkings[-1] is None
 
 
 def test_viterbi_breaks_exact_ties_by_chunk_shape():
-    # a+a and a~a tie exactly: 0.0 + log p(a:a) + log p(:a) in either order;
-    # the edge of shape 0:1 into the final cell outranks the one of shape 1:1
+    # once min_prob prunes a:a, the two chunkings of aa -> "aa" left are a
+    # silent a then a:aa, and a:aa then a silent a. They tie exactly: 0.0 +
+    # log p(a:aa) + log p(a:) in either order. The edge of 0 letters into
+    # the final cell outranks the one of 2
+    pairs = [(("a",), "aa")] * 50 + [(("a", "t"), "t")] * 50 + [(("a", "a"), "aa")]
     aligner = ChunkAligner()
-    aligner.fit([(("a",), "aa")], iterations=6)
-    first = math.log(aligner.probs[(("a",), "a")]) + math.log(aligner.probs[((), "a")])
-    second = math.log(aligner.probs[((), "a")]) + math.log(aligner.probs[(("a",), "a")])
+    aligner.fit(pairs, iterations=1, min_prob=0.02)
+    assert (("a",), "a") not in aligner.probs
+    first = math.log(aligner.probs[(("a",), "")]) + math.log(aligner.probs[(("a",), "aa")])
+    second = math.log(aligner.probs[(("a",), "aa")]) + math.log(aligner.probs[(("a",), "")])
     assert first == second
-    assert aligner.viterbi() == [((("a",), "a"), ((), "a"))]
+    assert aligner.viterbi()[-1] == ((("a",), "aa"), (("a",), ""))
+    assert _reference_viterbi.chunkings(aligner.probs, pairs[-1:]) == [
+        ((("a",), "aa"), (("a",), ""))]
+
+
+def test_fit_codes_the_chunks_of_a_large_letter_set():
+    # 20,000 segments and 20,000 letters, as a lexicon with Chinese
+    # characters may hold, and one chunk of 4 of those letters: every
+    # chunk's code fits in 64 bits and reads back as its own chunk
+    letters = [chr(0x4E00 + k) for k in range(20000)]
+    pairs = [((f"s{k}",), letter) for k, letter in enumerate(letters)]
+    pairs.append((("s0",), "".join(letters[-4:])))
+    aligner = ChunkAligner()
+    assert aligner.fit(pairs, iterations=1)["unalignable"] == 0
+    assert aligner.viterbi() == [(pair,) for pair in pairs]
 
 
 def test_viterbi_reads_each_fit_once():
@@ -129,21 +148,31 @@ def test_viterbi_reads_each_fit_once():
 
 
 def test_fit_counts_ratio_skips():
+    # ab -> "ab" has three chunkings: a:a b:b, a: b:ab and a:ab b:. EM
+    # keeps the four chunks of the last two at one weight u and a:a and b:b
+    # at v, from the start's u = _START_WEIGHT and v = 1; a chunking's
+    # posterior is the product of its weights over their sum, and each
+    # chunk's count over the row's 2 phonemes is its next weight
     aligner = ChunkAligner()
-    stats = aligner.fit([(("a",), "a"), (("a",), "aaaaa")], iterations=6)
+    stats = aligner.fit([(("a", "b"), "ab"), (("a",), "aaaaa")], iterations=6)
+    u, v, expected = polyipa.model._START_WEIGHT, 1.0, []
+    for _ in range(6):
+        z = v * v + 2 * u * u
+        u, v = u * u / z / 2, v * v / z / 2
+        u = u if u >= 1e-12 else 0.0  # min_prob prunes u from the 4th iteration on
+        expected.append(math.log(v * v + 2 * u * u))
+    assert u == 0.0
     assert stats == {"pairs": 2, "ratio_skipped": 1, "unalignable": 0,
-                     "log_likelihood": pytest.approx(
-                         [math.log(0.52), -0.6380064218811454, -0.6119370330540815,
-                          -0.5671501147243052, -0.48795971874034866, -0.3535802728696125],
-                         rel=1e-12)}
+                     "log_likelihood": pytest.approx(expected, rel=1e-12)}
 
 
 @pytest.mark.parametrize("iterations", [1, 2])
 def test_fit_log_likelihood_is_that_of_the_final_table(iterations):
     aligner = ChunkAligner()
-    stats = aligner.fit([(("a",), "a")], iterations=iterations)
-    probs = aligner.probs
-    z = probs[(("a",), "a")] + 2 * probs[(("a",), "")] * probs[((), "a")]
+    stats = aligner.fit([(("a", "b"), "ab")], iterations=iterations)
+    p = aligner.probs
+    z = (p[(("a",), "a")] * p[(("b",), "b")] + p[(("a",), "")] * p[(("b",), "ab")]
+         + p[(("a",), "ab")] * p[(("b",), "")])
     assert len(stats["log_likelihood"]) == iterations
     assert stats["log_likelihood"][-1] == pytest.approx(math.log(z), rel=1e-12)
     assert stats["log_likelihood"][-1] < 0.0
@@ -199,10 +228,12 @@ def test_fit_matches_reference_em_on_mixed_stream():
 
 @pytest.mark.parametrize("iterations", [1, 6])
 def test_fit_matches_reference_em_with_pruned_chunks(iterations):
+    # the stream's 901 usable segments each count 1: min_prob prunes the
+    # chunks counted once, x:q and k:c
     stats, _ = _assert_matches_reference(_mixed_stream(), iterations=iterations,
-                                         min_prob=1e-3)
+                                         min_prob=1.5e-3)
     # rows whose only chunk was pruned
-    assert stats["unalignable"] == (1 if iterations == 1 else 2)
+    assert stats["unalignable"] == 2
 
 
 @pytest.mark.parametrize("block_rows", [5, 64])
@@ -230,9 +261,9 @@ def test_viterbi_matches_reference():
 
 
 @pytest.mark.parametrize("kwargs, unaligned", [({}, 4),
-                                               ({"iterations": 6, "min_prob": 1e-3}, 6),
+                                               ({"iterations": 6, "min_prob": 1.5e-3}, 6),
                                                ({"iterations": 1}, 4),
-                                               ({"iterations": 1, "min_prob": 1e-3}, 5)])
+                                               ({"iterations": 1, "min_prob": 1.5e-3}, 6)])
 def test_viterbi_matches_reference_on_mixed_stream(kwargs, unaligned):
     chunkings = _assert_viterbi_matches_reference(_mixed_stream(), **kwargs)
     # the 4 ratio-skipped rows, and with pruning the rows whose only chunk went
@@ -293,14 +324,14 @@ def test_train_runs_a_fixed_number_of_em_iterations():
 
 
 def test_train_alignment_failures_are_the_fit_skips(monkeypatch):
-    # pruning at 1e-3 after one iteration leaves one usable row without a path
+    # pruning at 1.5e-3 after one iteration leaves two usable rows without a path
     monkeypatch.setattr(ChunkAligner, "fit",
-                        functools.partialmethod(ChunkAligner.fit, iterations=1, min_prob=1e-3))
+                        functools.partialmethod(ChunkAligner.fit, iterations=1, min_prob=1.5e-3))
     rows = [("<eo>", IpaString.from_segments(map(IpaSegment, segs)), graph)
             for segs, graph in _mixed_stream()]
     stats = train_tagged(rows, order=2).training_stats
-    assert (stats["ratio_skipped"], stats["unalignable"]) == (4, 1)
-    assert stats["alignment_failures"] == 5
+    assert (stats["ratio_skipped"], stats["unalignable"]) == (4, 2)
+    assert stats["alignment_failures"] == 6
 
 
 def test_every_exported_name_resolves():
@@ -337,8 +368,13 @@ def test_discounts_are_estimated_per_context_length():
     # order 2 has no discounts[2] for the table's 2-token contexts
     with pytest.raises(ValueError, match="too long"):
         JointModel(2, model.tokens, model.counts)
-    # a trained model's lengths are all estimated, each in (0, 1)
-    trained = train(shallow_lexicon(150, seed=22), order=6)
+    # a trained model's lengths are all estimated, each in (0, 1), once some
+    # chunks are counted once (v:w) and twice (f:ph): a shallow spelling
+    # alone counts every chunk after the empty and the tag context often
+    lex = Lexicon(list(shallow_lexicon(150, seed=22))
+                  + [PronEntry("eo", graph, parse_ipa(ipa))
+                     for graph, ipa in (("wa", "va"), ("pha", "fa"), ("phi", "fi"))])
+    trained = train(lex, order=6)
     assert len(trained.discounts) == 6 and 0.75 not in trained.discounts
     assert all(0.0 < d < 1.0 for d in trained.discounts)
 
@@ -385,40 +421,41 @@ def test_unseen_context_backs_off_and_sums_to_one():
 
 
 def _cache_sizes(model):
-    windows = [window for index in model._indexes.values() for window in index.windows.values()]
+    windows = [window for index in model._indexes.values() for window in index.values()]
     return (len(model._probs_cache), len(windows), sum(len(window.scored) for window in windows))
 
 
 def test_decode_caches_trained_contexts_only():
     lex = Lexicon(list(shallow_lexicon(150, seed=22))
                   + [PronEntry("de", graph.replace("v", "w"), parse_ipa(ipa))
-                     for graph, ipa in shallow_words(60, seed=5)])
+                     for graph, ipa in shallow_words(60, seed=5)]
+                  + [PronEntry("de", "bach", parse_ipa("bax"))])
     model = train(lex, order=3)
     assert model.tags == {"<eo>", "<de>"}
-    probes = [parse_ipa(probe) for probe in ("pato", "ʃilo", "t͡ʃama", "kemi", "vasi")]
+    probes = [parse_ipa(probe) for probe in ("pato", "ʃilo", "t͡ʃama", "kemi", "vasi", "xa")]
     for tag in sorted(model.tags):
         for ipa in probes:
-            beam_decode(model, tag, ipa, n_best=5)
-    groups = {tuple(tok for tok, _ in group)
-              for index in model._indexes.values() for group in index.chunks.values()}
-    # one index per tag, and all chunks (None) where a tag's chunks decode nothing
+            assert beam_decode(model, tag, ipa, n_best=5)
+    groups = {window.tokens for index in model._indexes.values() for window in index.values()}
+    # one index per tag, and all chunks (None) where a tag's chunks decode
+    # nothing: <eo> has no chunk of x
     assert model._probs_cache and set(model._indexes) == {model.ids[("tag", tag)]
                                                           for tag in model.tags} | {None}
     for ctx, tokens in model._probs_cache:
         assert ctx in model.counts
         assert tokens in groups or (len(tokens) == 1 and tokens[0] in model.vocab)
     for tag_id, index in model._indexes.items():
-        # a tag's index holds only chunks counted after that tag
+        # a tag's index holds only chunks counted after that tag, each under
+        # its own segment
         trained = model.vocab if tag_id is None else model.counts[(tag_id,)]
-        assert all(tok in trained for group in index.chunks.values() for tok, _ in group)
-        assert index.windows
-        for keys, window in index.windows.items():
-            assert all(key in index.chunks for key in keys)
+        for seg, window in index.items():
+            assert all(tok in trained and model.tokens[tok][1] == (seg,) for tok in window.tokens)
             assert all(ctx in model.counts for ctx in window.scored)
-    # <de>'s w is in the model, not in <eo>'s index
+        assert any(window.scored for window in index.values())
+    # <de>'s w and x are in the model, not in <eo>'s index
     eo = model._indexes[model.ids[("tag", "<eo>")]]
-    assert any("w" in letters for group in model.chunk_index.values() for _, letters in group)
-    assert not any("w" in letters for group in eo.chunks.values() for _, letters in group)
+    assert "w" in [letters for _, letters in model.chunk_index["v"]] and "x" in model.chunk_index
+    assert eo["v"].letters == ("v",) and "x" not in eo
     sizes = _cache_sizes(model)
     for tag in sorted(model.tags):
         for ipa in probes:
@@ -428,9 +465,13 @@ def test_decode_caches_trained_contexts_only():
 
 def test_prob_matches_reference_bit_for_bit():
     model = train(shallow_lexicon(150, seed=22), order=6)
-    contexts = random.Random(3).sample(sorted(model.counts), 25)
-    assert len({len(ctx) for ctx in contexts}) > 3
-    unseen = (len(model.tokens),) + contexts[0]  # an id outside the table
+    # up to 5 contexts of every length: one empty and one tag context, and
+    # hundreds of the longest
+    rng = random.Random(3)
+    by_length = [sorted(ctx for ctx in model.counts if len(ctx) == length) for length in range(6)]
+    contexts = [ctx for group in by_length for ctx in rng.sample(group, min(5, len(group)))]
+    assert [len(group) > 0 for group in by_length] == [True] * 6
+    unseen = (len(model.tokens),) + contexts[-1]  # an id outside the table
     cache = {}
     for ctx in contexts + [unseen]:
         for tok in sorted(model.vocab):
@@ -469,20 +510,21 @@ def _variant_stream():
 @pytest.mark.parametrize("order", [1, 2, 3, 6])
 def test_decode_matches_reference_beam(order):
     model = train_tagged(_variant_stream(), order=order)
-    assert len(model.chunk_index[("k", "i")]) == 2
+    assert [letters for _, letters in model.chunk_index["k"]] == ["c", "k"]
     with warnings.catch_warnings():
         # a trained tag decodes without a warning, also at order 1, where
         # no context holds it
         warnings.simplefilter("error", UnknownTagWarning)
         surfaces = _assert_decode_matches_reference(
-            model, "<eo>", ("kivi", "ʃilo", "t͡ʃama", "kemiltu", "fisk", "a"))
-    assert len(surfaces["kivi"]) == 4 and len(surfaces["kemiltu"]) == 4
-    assert surfaces["fisk"] == {}  # no chunk of k after s
+            model, "<eo>", ("kivi", "ʃilo", "t͡ʃama", "kemiltu", "fisk", "a", "xa"))
+    # k, i and v spell two ways each
+    assert len(surfaces["kivi"]) == 16 and len(surfaces["kemiltu"]) == 4
+    assert surfaces["xa"] == {}  # no chunk of x
 
 
 def _silent_letter_stream():
     """Shallow words, each also spelled with a silent h and a silent w
-    inserted: a stream that trains 0-phoneme chunks."""
+    inserted: a stream that trains chunks of a segment and a silent letter."""
     rng = random.Random(4)
     rows = []
     for graph, ipa in shallow_words(200, seed=31):
@@ -495,9 +537,11 @@ def _silent_letter_stream():
 
 def test_decode_matches_reference_beam_with_silent_letters():
     model = train_tagged(_silent_letter_stream(), order=4)
-    assert [letters for _, letters in model.chunk_index[()]] == ["h", "w"]
-    surfaces = _assert_decode_matches_reference(model, "<eo>", ("a", "pa"), n_bests=(5,))
-    assert len(surfaces["pa"]) > 1000
+    assert [letters for _, letters in model.chunk_index["a"]] == ["a", "ah", "aw", "ha", "wa"]
+    assert [letters for _, letters in model.chunk_index["p"]] == ["hp", "p", "pw", "wp"]
+    surfaces = _assert_decode_matches_reference(model, "<eo>", ("a", "pa"))
+    # 4 x 5 chunkings of pa, where p + wa and pw + a spell one surface
+    assert len(surfaces["pa"]) == 19
 
 
 @pytest.mark.parametrize("stream, probes", [
@@ -517,22 +561,21 @@ def test_default_width_returns_a_full_n_best_list(stream, probes):
 
 
 def test_decode_matches_reference_beam_at_the_length_bound():
-    # every word also spelled with a silent tail of 3 letters per segment:
-    # with the word itself that passes 3 x segments + 5 letters, the
-    # longest surface decode may build, so expansions stop fitting. At
-    # order 1 every state is empty, so h + h reaches the state and surface
-    # of hh, at a better score than hh's
+    # every word also spelled with each letter four times, so that every
+    # segment spells one letter or four. A surface of four letters on all
+    # 6 segments of patapa passes 3 x segments + 5 letters, the longest
+    # surface decode may build, so expansions stop fitting there
     rows = []
-    for graph, ipa in shallow_words(150, seed=31):
-        segments = len(parse_ipa(ipa).segments)
-        rows.append(("<eo>", parse_ipa(ipa), graph))
-        rows.append(("<eo>", parse_ipa(ipa), graph + "h" * (3 * segments)))
+    for word in _identity_words(150, seed=31):
+        rows.append(("<eo>", parse_ipa(word), word))
+        rows.append(("<eo>", parse_ipa(word), "".join(letter * 4 for letter in word)))
     for order in (1, 4):
         model = train_tagged(rows, order=order)
-        assert [letters for _, letters in model.chunk_index[()]] == ["h", "hh"]
-        surfaces = _assert_decode_matches_reference(model, "<eo>", ("a", "pa", "pat"))
-        assert max(map(len, surfaces["a"])) == 8, order  # the bound, 3 x 1 + 5
-        assert max(map(len, surfaces["pat"])) == 14, order
+        assert [letters for _, letters in model.chunk_index["p"]] == ["p", "pppp"]
+        surfaces = _assert_decode_matches_reference(model, "<eo>", ("a", "pat", "patapa"))
+        assert max(map(len, surfaces["pat"])) == 12, order  # under the bound, 3 x 3 + 5
+        assert len(surfaces["patapa"]) == 2 ** 6 - 1, order
+        assert max(map(len, surfaces["patapa"])) == 21, order  # 24 > 3 x 6 + 5
 
 
 def test_decode_matches_reference_beam_for_an_unseen_tag():
@@ -542,7 +585,7 @@ def test_decode_matches_reference_beam_for_an_unseen_tag():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnknownTagWarning)
         surfaces = _assert_decode_matches_reference(model, "<zz>", ("kivi", "kemiltu"))
-    assert len(surfaces["kivi"]) == 4
+    assert len(surfaces["kivi"]) == 16
 
 
 def test_decode_matches_reference_beam_with_tag_restriction_and_fallback():
@@ -554,10 +597,10 @@ def test_decode_matches_reference_beam_with_tag_restriction_and_fallback():
         if "ʒ" not in ipa:
             rows.append(("<aa>", parse_ipa(ipa), graph))
     model = train_tagged(rows, order=3)
-    assert [letters for _, letters in model.chunk_index[("v", "a")]] == ["va", "wa"]
-    assert ("ʒ",) in model.chunk_index
+    assert [letters for _, letters in model.chunk_index["v"]] == ["v", "w"]
+    assert "ʒ" in model.chunk_index
     aa = model._index(model.ids[("tag", "<aa>")])
-    assert ("ʒ",) not in aa.chunks and [l for _, l in aa.chunks[("v", "a")]] == ["va"]
+    assert "ʒ" not in aa and aa["v"].letters == ("v",)
     surfaces = _assert_decode_matches_reference(model, "<aa>", ("vasi", "ʒavo"))
     assert set(surfaces["vasi"]) == {"vasi"}  # restricted: no w
     assert "zhawo" in surfaces["ʒavo"] and "zhavo" in surfaces["ʒavo"]  # the fallback
@@ -566,25 +609,26 @@ def test_decode_matches_reference_beam_with_tag_restriction_and_fallback():
 
 
 def test_decode_keeps_every_expansion_tied_at_the_beam_boundary():
-    # "ku" spelled two ways once each: EM learns the chunks ku -> "ku",
-    # ku -> "kh" and a silent "u". At order 3, ku -> "kh" and ku -> "ku"
-    # tie after the tag, so stack 2 holds both at the same score; at width
-    # 1 the surface order keeps "kh", although "ku" pays less for EOS
-    rows = [("<x>", parse_ipa("ku"), spelling) for spelling in ("ku", "khu")]
+    # k spelled k once and c once: at order 3, k:c and k:k tie after the
+    # tag, so stack 1 holds both at the same score; at width 1 the surface
+    # order keeps "c", although "k" pays less for EOS, which only k:k was
+    # counted before
+    rows = [("<x>", parse_ipa("k"), "k"), ("<x>", parse_ipa("ka"), "ca")]
     model = train_tagged(rows, order=3)
-    ipa = parse_ipa("ku")
-    kh, ku = (model.ids[("chunk", ("k", "u"), letters)] for letters in ("kh", "ku"))
+    ipa = parse_ipa("k")
+    c_id, k_id = (model.ids[("chunk", ("k",), letters)] for letters in ("c", "k"))
     start = (model.ids[("<s>",)], model.ids[("tag", "<x>")])
-    assert model.log_prob(kh, start) == model.log_prob(ku, start)
+    assert model.log_prob(c_id, start) == model.log_prob(k_id, start)
     best, _ = exhaustive(model, "<x>", ipa)
-    assert [c.grapheme for c in ranked(best, 2)] == ["ku", "kh"]
-    assert beam_decode(model, "<x>", ipa, 2, 1) == [Candidate("kh", best["kh"])]
+    assert [c.grapheme for c in ranked(best, 2)] == ["k", "c"]
+    assert beam_decode(model, "<x>", ipa, 2, 1) == [Candidate("c", best["c"])]
     for n_best in (1, 2, 5):
         assert beam_decode(model, "<x>", ipa, n_best, 2) == ranked(best, min(n_best, 2))
     # a unigram table where k spells b or bc and u spells a or z, all
     # counted once: every spelling of "ku" ties. The merge yields the rows
     # of stack 1's "b" first, so keeping rows in merge order would keep
     # "ba" and "bz" at width 2; the surface order keeps "ba" and "bca"
+    ipa = parse_ipa("ku")
     tokens = [("</s>",), ("chunk", ("k",), "b"), ("chunk", ("k",), "bc"),
               ("chunk", ("u",), "a"), ("chunk", ("u",), "z"), ("tag", "<x>")]
     unigram = JointModel(1, tokens, {(): {0: 2, 1: 1, 2: 1, 3: 1, 4: 1}})
@@ -595,17 +639,18 @@ def test_decode_keeps_every_expansion_tied_at_the_beam_boundary():
 
 
 def test_decode_keeps_the_best_path_to_a_state_and_surface():
-    # a unigram table where a spells "a" or, rarely, "ah", and a silent h
-    # is common: stack 1 takes "ah" from the rare chunk first, then a
-    # better path to the same (empty) state and surface, "a" + "h"
-    tokens = [("</s>",), ("chunk", (), "h"), ("chunk", ("a",), "a"),
-              ("chunk", ("a",), "ah"), ("tag", "<x>")]
-    eos, h, a, ah = range(4)
-    model = JointModel(1, tokens, {(): {eos: 2, h: 4, a: 4, ah: 1}})
-    ipa = parse_ipa("a")
+    # a unigram table where a spells "a" or, rarely, "ah", and k spells "k"
+    # or "hk": a + hk and ah + k reach one (empty) state and surface, "ahk",
+    # and stack 2 keeps the better of the two
+    tokens = [("</s>",), ("chunk", ("a",), "a"), ("chunk", ("a",), "ah"),
+              ("chunk", ("k",), "hk"), ("chunk", ("k",), "k"), ("tag", "<x>")]
+    eos, a, ah, hk, k = range(5)
+    model = JointModel(1, tokens, {(): {eos: 2, a: 4, ah: 1, hk: 2, k: 4}})
+    ipa = parse_ipa("ak")
     best, visited = exhaustive(model, "<x>", ipa)
-    silent = model.log_prob(a, ()) + model.log_prob(h, ()) + model.log_prob(eos, ())
-    assert best["ah"] == silent > model.log_prob(ah, ()) + model.log_prob(eos, ())
+    via_hk, via_ah = (sum(model.log_prob(tok, ()) for tok in path)
+                      for path in ((a, hk, eos), (ah, k, eos)))
+    assert best["ahk"] == via_hk > via_ah
     for n_best in (1, 3):
         assert beam_decode(model, "<x>", ipa, n_best, visited) == ranked(best, n_best)
 
@@ -715,7 +760,7 @@ def test_save_load_preserves_decoding(tmp_path):
     assert loaded.tokens == model.tokens
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert set(doc) == {"format", "version", "order", "tokens", "ngrams"}
-    assert doc["version"] == 5
+    assert doc["version"] == 6
     for probe in ("pato", "shilo", "chama"):
         ipa = parse_ipa(probe)
         a = beam_decode(model, "<eo>", ipa, n_best=3)
@@ -754,7 +799,15 @@ def test_load_rejects_other_files(tmp_path):
         JointModel.load(path)
 
 
-@pytest.mark.parametrize("case", ["v1-lines", "v2-document", "version-3", "version-4", "other-format",
+# the reason load gives where a case's file breaks only the chunk rule of
+# version 6: decode would never offer a chunk of 0 or 2 phonemes, or one
+# of more than 4 letters, that a version-5 file may hold
+_CHUNK_RULE = {"version-5": "of version 6", "two-phoneme-chunk": "one str phoneme",
+               "five-letter-chunk": "at most 4"}
+
+
+@pytest.mark.parametrize("case", ["v1-lines", "v2-document", "version-3", "version-4", "version-5",
+                                  "two-phoneme-chunk", "five-letter-chunk", "other-format",
                                   "other-version", "truncated", "no-ngrams", "negative-id",
                                   "negative-count", "fractional-count", "long-context", "repeated-ngram",
                                   "bool-order", "context-id-past-table", "token-id-past-table",
@@ -781,6 +834,12 @@ def test_load_rejects_malformed_documents(tmp_path, case, capsys):
             doc.update(version=3, discount=0.75)  # the fixed discount of version 3
         elif case == "version-4":
             doc["version"] = 4  # the same fields, with the tag first in each context
+        elif case == "version-5":
+            doc["version"] = 5  # the same fields, with chunks of 0-2 phonemes
+        elif case == "two-phoneme-chunk":
+            tokens[a][1] = ["a", "a"]
+        elif case == "five-letter-chunk":
+            tokens[a][2] = "aaaaa"
         elif case == "other-format":
             doc["format"] = "another-model"
         elif case == "other-version":
@@ -828,8 +887,9 @@ def test_load_rejects_malformed_documents(tmp_path, case, capsys):
             doc["order"] = True
         text = json.dumps(doc)
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError, match="m.model: not a readable model file"):
+    with pytest.raises(ValueError, match="m.model: not a readable model file") as error:
         JointModel.load(path)
+    assert _CHUNK_RULE.get(case, "") in str(error.value)
     queries = tmp_path / "q.tsv"
     queries.write_text("<eo>\tkat\n", encoding="utf-8")
     assert cli.main(["predict", "--model", str(path), "--input", str(queries),
