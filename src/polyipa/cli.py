@@ -42,6 +42,7 @@ from .model import (
     JointModel,
     beam_decode,
     load_external_candidates,
+    stack_width,
     train,
     train_tagged,
     write_candidates_tsv,
@@ -238,7 +239,7 @@ def cmd_predict(args, cfg: PipelineConfig, res: Resources) -> int:
     if empty:
         print(f"warning: {empty} inputs decoded to no candidates", file=sys.stderr)
     _summary(f"predict: {len(queries)} inputs, n_best {cfg.n_best}, "
-             f"beam width {3 * cfg.n_best}, "
+             f"beam width {stack_width(cfg.n_best)}, "
              f"{empty} without candidates", args.output)
     return 0
 

@@ -64,7 +64,7 @@ def normalize_text(raw: str) -> str:
     return unicodedata.normalize("NFC", s.lower())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IpaSegment:
     """One phonetic segment: base symbol plus attached marks.
 
@@ -75,12 +75,15 @@ class IpaSegment:
     base: str
     diacritics: tuple[str, ...] = ()
     tones: tuple[str, ...] = ()
+    # the marks recomposed, so that nasalized vowels etc. round-trip to
+    # their NFC form; made once, interned so that all segments of one text
+    # share it, and not part of equality or hash. Slots keep a segment no
+    # larger than it was without the field.
+    text: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def text(self) -> str:
-        # recompose so nasalized vowels etc. round-trip to their NFC form
+    def __post_init__(self) -> None:
         raw = self.base + "".join(self.diacritics) + "".join(self.tones)
-        return unicodedata.normalize("NFC", raw)
+        object.__setattr__(self, "text", sys.intern(unicodedata.normalize("NFC", raw)))
 
     def base_symbols(self) -> tuple[str, ...]:
         """Component base symbols of the core, ties and marks removed."""

@@ -2,7 +2,9 @@
 
 Training entries are chunk-aligned by EM (every chunk is one phoneme and 0
 to 4 graphemes; the first E pass favours chunks of one grapheme) and
-chunked by Viterbi over the same compiled lattices, then an n-gram model
+chunked by Viterbi over the same compiled lattices. Both sweep the
+lattices of a block of entries one phoneme layer at a time, with alpha and
+beta scaled per entry and layer by a power of two. Then an n-gram model
 interpolated by absolute discounting, with discounts per context length,
 is counted over the chunks and EOS of each entry, each predicted after a
 context of the form
@@ -99,33 +101,21 @@ def _ratio_ok(m: int, n: int) -> bool:
     return max(m, n) <= _MAX_RATIO * min(m, n)
 
 
-_SHAPE_G = np.array([g for _, g in _SHAPES])
-
-
-def _lattice_edges(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, shape index) of every edge of an m x n lattice out of a cell
-    that a path from (0, 0) reaches, j <= _MAX_LETTERS * i, in the order the
-    per-row recursion visits them: source row-major, then _SHAPES."""
-    i = np.arange(m)[:, None, None]
-    j = np.arange(n + 1)[None, :, None]
-    return np.nonzero((j + _SHAPE_G <= n) & (j <= _MAX_LETTERS * i))
-
-
 def _piece_codes(chars: np.ndarray, pairs: np.ndarray, n_chars: int, radix: int) -> np.ndarray:
     """Code of the letter piece at every start k of every length 0 to 4, as
-    an array of shape (rows, len + 1, 5), from the letter ids and the ids of
-    the letter pairs that start at each k: 0 for the empty piece, 1 + letter
-    id for one letter, 1 + n_chars + pair id for two, and for three or four
+    an array of shape (len + 1, 5), from the letter ids and the ids of the
+    letter pairs that start at each k: 0 for the empty piece, 1 + letter id
+    for one letter, 1 + n_chars + pair id for two, and for three or four
     letters the code of the first one or two times radix plus that of the
     last two. Pieces past the end read 0."""
-    rows, length = chars.shape
+    length = len(chars)
     one, two = 1 + chars, 1 + n_chars + pairs
-    codes = np.zeros((rows, length + 1, _MAX_LETTERS + 1), dtype=np.int64)
+    codes = np.zeros((length + 1, _MAX_LETTERS + 1), dtype=np.int64)
     starts = [max(length + 1 - g, 0) for g in range(_MAX_LETTERS + 1)]
-    codes[:, :starts[1], 1] = one
-    codes[:, :starts[2], 2] = two
-    codes[:, :starts[3], 3] = one[:, :starts[3]] * radix + two[:, 1:]
-    codes[:, :starts[4], 4] = two[:, :starts[4]] * radix + two[:, 2:]
+    codes[:starts[1], 1] = one
+    codes[:starts[2], 2] = two
+    codes[:starts[3], 3] = one[:starts[3]] * radix + two[1:]
+    codes[:starts[4], 4] = two[:starts[4]] * radix + two[2:]
     return codes
 
 
@@ -140,163 +130,150 @@ class _Block:
     """The chunk lattices of one block of training rows as integer arrays,
     built once per fit, with one batched forward-backward pass per EM
     iteration and one max-plus pass for the Viterbi chunking. Identical
-    rows share one lattice: rows are the block's distinct rows, and copies
-    gives the distinct row of every row.
+    rows share one lattice: rows are the block's distinct rows, most
+    phonemes first, and copies gives the distinct row of every row.
 
-    The cells (i, j) of all distinct rows that a path from (0, 0) reaches,
-    those with j <= _MAX_LETTERS * i, are numbered by anti-diagonal i + j,
-    then row, then i, so that each diagonal is one contiguous slice and
-    every cell past diagonal 0 has an incoming edge. Edges
-    are stored in the order the per-row recursion visits them (row, source
-    cell row-major, then _SHAPES). Alpha sums each cell's incoming edges in
-    that order and beta each cell's outgoing edges in reverse, and counts
-    add up in edge order, so every float sum is the one the per-row
-    recursion makes. Alpha and beta are scaled per row and diagonal by a
-    power of two, which is exact wherever the unscaled value is a normal
-    float and keeps long rows from underflowing (Rabiner 1989).
+    Every chunk consumes one phoneme, so every edge runs from phoneme layer
+    i to layer i + 1. The cells (i, j) that a path from (0, 0) reaches,
+    j <= min(n, _MAX_LETTERS * i), are numbered by layer, then row, then j,
+    so that each layer is one contiguous slice whose rows, those of at least
+    i phonemes, come first in the block. The edges out of each layer are
+    stored together by row, source j, then letters: the order in which the
+    per-row recursion visits them. Alpha of a layer sums each cell's
+    incoming edges in that order, beta each cell's outgoing edges in
+    reverse, and counts add up in row order, so every float sum is the one
+    the per-row recursion makes. Alpha and beta are scaled per row and
+    layer by a power of two, which is exact wherever the unscaled value is
+    a normal float and keeps long rows from underflowing (Rabiner 1989).
+    All sources of a row's layer share its scale, so one sweep per layer
+    sums them as they are.
     """
 
-    def __init__(self, rows: list[tuple[tuple[str, ...], str]], copies: list[int],
-                 seg_ids: dict[str, int], char_ids: dict[str, int], pair_ids: dict[str, int],
-                 templates: dict[tuple[int, int], tuple[np.ndarray, ...]],
-                 fields: list[np.ndarray]):
-        self._rows = len(rows)
-        m = np.array([len(segs) for segs, _ in rows], dtype=np.int64)
-        n = np.array([len(graph) for _, graph in rows], dtype=np.int64)
-        last = m + n
-        # (row, diagonal) entries, row by row, each row followed by one spare
-        # whose exponent stays 0: the scale a final cell's beta refers to
-        rd_base = np.concatenate(([0], np.cumsum(last + 2)))
-        rd_row = np.repeat(np.arange(self._rows), last + 2)
-        rd_diag = np.arange(rd_base[-1]) - rd_base[rd_row]
-        # the first i of a diagonal d: d - i <= n, and d - i <= _MAX_LETTERS * i
-        first_i = np.maximum(rd_diag - n[rd_row], -(-rd_diag // (_MAX_LETTERS + 1)))
-        width = np.maximum(np.minimum(m[rd_row], rd_diag) - first_i + 1, 0)
-        by_diag = np.lexsort((rd_row, rd_diag))
-        by_diag = by_diag[width[by_diag] > 0]
-        cell_end = np.cumsum(width[by_diag])
-        # cell (i, j) of row r is cell_start[rd_base[r] + i + j] + i
-        cell_start = np.zeros_like(width)
-        cell_start[by_diag] = cell_end - width[by_diag]
-        cell_start -= first_i
-        self._n_cells = int(width.sum())
-        self._n_rd = len(rd_row)
-        self._cell_row = np.repeat(rd_row[by_diag], width[by_diag]).astype(np.int32)
-        self._final_cell = cell_start[rd_base[:-1] + last] + m
+    def __init__(self, rows: list[tuple[tuple[str, ...], str]], copies: list[int]):
+        # most phonemes first, so that the rows of every layer come first
+        order = sorted(range(len(rows)), key=lambda r: -len(rows[r][0]))
+        self._rows = [rows[r] for r in order]
+        rank = np.empty(len(rows), dtype=np.intp)
+        rank[order] = np.arange(len(rows))
+        self.copies = rank[copies]
+        m = self._m = np.array([len(segs) for segs, _ in self._rows])
+        n = self._n = np.array([len(graph) for _, graph in self._rows])
+        # the number of rows of at least i phonemes, by i
+        live = np.searchsorted(-m, -np.arange(m[0] + 2), side="right")
+        # per layer: its cells lo:hi, the edges e0:e1 out of it, and the
+        # offset and width of each of its rows' cells
+        self._layers = []
+        self._final_cell = np.empty(len(rows), dtype=np.int64)
+        lo = e0 = 0
+        for i in range(m[0] + 1):
+            widths = np.minimum(n[:live[i]], _MAX_LETTERS * i) + 1
+            offsets = np.cumsum(widths) - widths
+            hi = lo + int(widths.sum())
+            # an edge per source cell j and letters g with j + g <= n, in the
+            # rows that go on to layer i + 1
+            going = n[:live[i + 1]]
+            e1 = e0 + sum(int(np.maximum(np.minimum(going - g, _MAX_LETTERS * i) + 1, 0).sum())
+                          for g in range(_MAX_LETTERS + 1))
+            self._layers.append((lo, hi, e0, e1, offsets, widths))
+            # the rows of i phonemes end in their last cell
+            ending = slice(live[i + 1], live[i])
+            self._final_cell[ending] = lo + offsets[ending] + widths[ending] - 1
+            lo, e0 = hi, e1
+        self._n_cells, self.n_edges = lo, e0
+        self._cell_row = np.concatenate([np.repeat(np.arange(len(widths), dtype=np.int32), widths)
+                                         for *_, widths in self._layers])
 
-        shapes: dict[tuple[int, int], list[int]] = {}
-        for r, (segs, graph) in enumerate(rows):
-            shapes.setdefault((len(segs), len(graph)), []).append(r)
-        row_edges = np.zeros(self._rows, dtype=np.int64)
-        for shape, members in shapes.items():
-            row_edges[members] = len(templates[shape][0])
-        edge_base = np.concatenate(([0], np.cumsum(row_edges)))
-        n_edges = int(edge_base[-1])
+    def compile(self, seg_ids: dict[str, int], char_ids: dict[str, int],
+                pair_ids: dict[str, int], fields: list[np.ndarray]) -> None:
+        """Fill the edges into fields, four int32 arrays of n_edges entries:
+        source cell, target cell, chunk id, and the edge at each position
+        of row order."""
+        rows = self._rows
         n_chars = len(char_ids)
         radix = 1 + n_chars + len(pair_ids)
-        # five int32 arrays of n_edges entries, filled here
-        src, tgt, cid, fwd, bwd = fields
-        keys = np.empty(n_edges, dtype=np.int64)
-        for shape, members in shapes.items():
-            ti, tj, ts = templates[shape]
-            tg = _SHAPE_G[ts]
-            base = rd_base[members][:, None]
-            at = edge_base[members][:, None] + np.arange(len(ti))
-            src[at] = cell_start[base + ti + tj] + ti
-            tgt[at] = cell_start[base + ti + 1 + tj + tg] + ti + 1
-            phones = np.array([[seg_ids[s] for s in rows[r][0]] for r in members])
-            graphs = [rows[r][1] for r in members]
-            chars = np.array([[char_ids[c] for c in graph] for graph in graphs])
-            pairs = np.array([[pair_ids[graph[k:k + 2]] for k in range(len(graph) - 1)]
-                              for graph in graphs], dtype=np.int64)
-            letters = _piece_codes(chars, pairs, n_chars, radix)
-            keys[at] = phones[:, ti] * radix ** 2 + letters[:, tj, tg]
+        phones = np.array([seg_ids[s] for segs, _ in rows for s in segs])
+        text = "".join(graph for _, graph in rows)
+        # the pieces that straddle two rows are never read
+        pairs = np.array([pair_ids.get(text[k:k + 2], 0) for k in range(len(text) - 1)],
+                         dtype=np.int64)
+        letters = _piece_codes(np.array([char_ids[c] for c in text]), pairs, n_chars, radix)
+        phone_lo = np.cumsum(self._m) - self._m
+        letter_lo = np.cumsum(self._n) - self._n
+        src, tgt, cid, by_row = fields
+        keys = np.empty(self.n_edges, dtype=np.int64)
+        for i, ((lo, _, e0, e1, offsets, widths), (lo1, _, _, _, offsets1, _)) in enumerate(
+                zip(self._layers, self._layers[1:])):
+            going = len(offsets1)  # the rows that go on to layer i + 1
+            r = np.repeat(np.arange(going), widths[:going])
+            j = np.arange(len(r)) - np.repeat(offsets[:going], widths[:going])
+            # every source cell by every number of letters left in its row
+            cell, g = np.nonzero(j[:, None] + np.arange(_MAX_LETTERS + 1) <= self._n[r][:, None])
+            r, j = r[cell], j[cell]
+            src[e0:e1] = lo + cell
+            tgt[e0:e1] = lo1 + offsets1[r] + j + g
+            keys[e0:e1] = phones[phone_lo[r] + i] * radix ** 2 + letters[letter_lo[r] + j, g]
+            by_row[e0:e1] = r
         self.codes, cid[:] = np.unique(keys, return_inverse=True)
         del keys
         self._src, self._tgt, self._cid = src, tgt, cid
-        # edges grouped by target, and by source with the shapes reversed
-        fwd[:] = np.argsort(tgt, kind="stable")
-        bwd[:] = n_edges - 1 - np.argsort(src[::-1], kind="stable")
-        self._fwd, self._bwd = fwd, bwd
-        # the distinct row of every row, and the first edge of every distinct row
-        self.copies = np.array(copies, dtype=np.intp)
-        self._edge_base = edge_base
-
-        diag_end = np.searchsorted(rd_diag[by_diag], np.arange(int(last.max(initial=-1)) + 1),
-                                   side="right")
-        cell_lo = np.concatenate(([0], cell_end[diag_end - 1]))
-        fwd_lo = np.searchsorted(tgt[self._fwd], cell_lo)
-        bwd_lo = np.searchsorted(src[self._bwd], cell_lo)
-        # per diagonal: its cells, its forward and backward edges, and its
-        # (row, diagonal) entries with their offsets and widths in the slice
-        self._diags = []
-        rd_lo = 0
-        for d, rd_hi in enumerate(diag_end.tolist()):
-            rds = by_diag[rd_lo:rd_hi]
-            lo = int(cell_lo[d])
-            self._diags.append((lo, int(cell_lo[d + 1]), int(fwd_lo[d]), int(fwd_lo[d + 1]),
-                                int(bwd_lo[d]), int(bwd_lo[d + 1]), rds,
-                                cell_start[rds] + first_i[rds] - lo, width[rds]))
-            rd_lo = rd_hi
+        # the first edge of every distinct row in row order, and that order:
+        # by row, then as stored
+        self._edge_base = np.concatenate(([0], np.cumsum(np.bincount(by_row,
+                                                                     minlength=len(rows)))))
+        by_row[:] = np.argsort(by_row, kind="stable")
+        self._by_row = by_row
 
     def number_chunks(self, codes: np.ndarray) -> None:
         """Renumber the block's chunk ids as indices into the sorted codes."""
         self._cid[:] = np.searchsorted(codes, self.codes)[self._cid]
 
     @staticmethod
-    def _rescale(values, exps, cell_exps, lo, hi, rds, offsets, widths, ref):
-        """Scale each (row, diagonal) block of values[lo:hi] so that its
-        maximum lies in [0.5, 1), and record the block's exponent, relative
-        to the exponent of the (row, diagonal) entries ref."""
-        block = values[lo:hi]
-        shift = np.frexp(np.maximum.reduceat(block, offsets))[1]
-        values[lo:hi] = np.ldexp(block, -np.repeat(shift, widths))
-        exps[rds] = exps[ref] + shift
-        cell_exps[lo:hi] = np.repeat(exps[rds], widths)
+    def _rescale(values, exps, cell_exps, lo, hi, offsets, widths):
+        """Scale each row's cells in values[lo:hi] so that their maximum
+        lies in [0.5, 1), add the shift to the row's exponent in exps, and
+        copy that to its cells in cell_exps."""
+        layer = values[lo:hi]
+        shift = np.frexp(np.maximum.reduceat(layer, offsets))[1]
+        values[lo:hi] = np.ldexp(layer, -np.repeat(shift, widths))
+        exps[:len(widths)] += shift
+        cell_exps[lo:hi] = np.repeat(exps[:len(widths)], widths)
 
     def _forward(self, weights: np.ndarray):
-        """Scaled alpha and its exponent per cell."""
+        """Scaled alpha and its exponent per cell, and z of every distinct
+        row as a mantissa in [0.5, 1), 0 without a path, and its exponent."""
         src, tgt, cid = self._src, self._tgt, self._cid
         alpha = np.zeros(self._n_cells)
-        alpha[:self._rows] = 1.0  # diagonal 0 holds each row's start cell, in row order
-        # true alpha = alpha * 2 ** alpha_exp, kept per (row, diagonal) and per cell
-        ea = np.zeros(self._n_rd, dtype=np.int32)
+        alpha[:len(self._m)] = 1.0  # layer 0 holds each row's start cell, in row order
+        # true alpha = alpha * 2 ** alpha_exp, kept per row and per cell
+        exps = np.zeros(len(self._m), dtype=np.int32)
         alpha_exp = np.zeros(self._n_cells, dtype=np.int32)
-        for lo, hi, f0, f1, _, _, rds, offsets, widths in self._diags[1:]:
-            e = self._fwd[f0:f1]
-            s, t = src[e], tgt[e] - lo
-            v = alpha[s] * weights[cid[e]]
-            # to the scale of the same row's previous diagonal
-            np.ldexp(v, alpha_exp[s] - np.repeat(ea[rds - 1], widths)[t], out=v)
-            alpha[lo:hi] = np.bincount(t, v, hi - lo)
-            self._rescale(alpha, ea, alpha_exp, lo, hi, rds, offsets, widths, rds - 1)
-        return alpha, alpha_exp
+        for (*_, e0, e1, _, _), (lo, hi, *_, offsets, widths) in zip(self._layers,
+                                                                      self._layers[1:]):
+            v = alpha[src[e0:e1]]
+            v *= weights[cid[e0:e1]]
+            alpha[lo:hi] = np.bincount(tgt[e0:e1] - lo, v, hi - lo)
+            self._rescale(alpha, exps, alpha_exp, lo, hi, offsets, widths)
+        z, shift = np.frexp(alpha[self._final_cell])
+        return alpha, alpha_exp, z, alpha_exp[self._final_cell] + shift
 
     def z(self, weights: np.ndarray):
         """Scaled z and its exponent for every row of the block."""
-        alpha, alpha_exp = self._forward(weights)
-        final = self._final_cell[self.copies]
-        return alpha[final], alpha_exp[final]
+        *_, z, z_exp = self._forward(weights)
+        return z[self.copies], z_exp[self.copies]
 
     def posteriors(self, weights: np.ndarray):
         """(chunk id, posterior) of every edge of every row in row order, 0
         for rows without a path, and scaled z and its exponent per row."""
         src, tgt, cid = self._src, self._tgt, self._cid
-        alpha, alpha_exp = self._forward(weights)
+        alpha, alpha_exp, z, z_exp = self._forward(weights)
         beta = np.zeros(self._n_cells)
         beta[self._final_cell] = 1.0
-        eb = np.zeros(self._n_rd, dtype=np.int32)
+        exps = np.zeros(len(self._m), dtype=np.int32)
         beta_exp = np.zeros(self._n_cells, dtype=np.int32)
-        for lo, hi, _, _, b0, b1, rds, offsets, widths in reversed(self._diags):
-            e = self._bwd[b0:b1]
-            s, t = src[e] - lo, tgt[e]
-            v = weights[cid[e]] * beta[t]
-            # to the scale of the same row's next diagonal
-            np.ldexp(v, beta_exp[t] - np.repeat(eb[rds + 1], widths)[s], out=v)
-            beta[lo:hi] += np.bincount(s, v, hi - lo)
-            self._rescale(beta, eb, beta_exp, lo, hi, rds, offsets, widths, rds + 1)
-        z = alpha[self._final_cell]
-        z_exp = alpha_exp[self._final_cell]
+        for lo, hi, e0, e1, offsets, widths in reversed(self._layers):
+            v = weights[cid[e0:e1]] * beta[tgt[e0:e1]]
+            beta[lo:hi] += np.bincount(src[e0:e1][::-1] - lo, v[::-1], hi - lo)
+            self._rescale(beta, exps, beta_exp, lo, hi, offsets, widths)
         row = self._cell_row
         post = alpha[src]
         post *= weights[cid]
@@ -309,7 +286,8 @@ class _Block:
         # the edges of every row of the block, copies included, in row order
         start = self._edge_base[self.copies]
         sizes = self._edge_base[self.copies + 1] - start
-        edges = np.arange(int(sizes.sum())) + np.repeat(start - np.cumsum(sizes) + sizes, sizes)
+        edges = self._by_row[np.arange(int(sizes.sum()))
+                             + np.repeat(start - np.cumsum(sizes) + sizes, sizes)]
         return cid[edges], post[edges], z[self.copies], z_exp[self.copies]
 
     def best_paths(self, logs: np.ndarray) -> list[list[int] | None]:
@@ -317,23 +295,25 @@ class _Block:
         log weights, None for a row without a path. Float max is exact, so
         the best score does not depend on the order of the edges; among
         equal-score edges into one cell the one with fewer letters wins."""
-        src, cid = self._src, self._cid
+        src, tgt, cid = self._src, self._tgt, self._cid
         score = np.full(self._n_cells, -math.inf)
-        score[:self._rows] = 0.0
+        score[:len(self._m)] = 0.0
         back = np.empty(self._n_cells, dtype=np.int32)  # the best edge into each cell
-        for lo, hi, f0, f1, *_ in self._diags[1:]:
-            e = self._fwd[f0:f1]
-            t = self._tgt[e] - lo
-            # every cell past diagonal 0 has an incoming edge, and e lists
-            # each cell's edges together
-            starts = np.searchsorted(t, np.arange(hi - lo))
-            cand = score[src[e]] + logs[cid[e]]
-            best = np.maximum.reduceat(cand, starts)
-            score[lo:hi] = best
-            # a cell's edges come by source cell, so by letters descending:
-            # the last one that ties has the fewest letters
-            tied = np.where(cand == best[t], np.arange(len(e)), -1)
-            back[lo:hi] = e[np.maximum.reduceat(tied, starts)]
+        for (lo0, _, e0, e1, offsets0, _), (lo, hi, _, _, offsets, _) in zip(self._layers,
+                                                                              self._layers[1:]):
+            s, t = src[e0:e1], tgt[e0:e1] - lo
+            # an edge's letters: the j of its target less that of its source
+            g = t - (s - lo0) - (offsets - offsets0[:len(offsets)])[self._cell_row[s]]
+            # every cell's candidates by letters, so that the first maximum
+            # has the fewest
+            cand = np.full((hi - lo, _MAX_LETTERS + 1), -math.inf)
+            cand[t, g] = score[s] + logs[cid[e0:e1]]
+            edge = np.zeros(cand.shape, dtype=np.int32)
+            edge[t, g] = np.arange(e0, e1)
+            best = cand.argmax(axis=1)
+            cells = np.arange(hi - lo)
+            score[lo:hi] = cand[cells, best]
+            back[lo:hi] = edge[cells, best]
         # walk all rows back from their final cells at once, one edge a step
         reached = np.flatnonzero(score[self._final_cell] > -math.inf)
         on_path = np.zeros(len(cid), dtype=bool)
@@ -342,13 +322,12 @@ class _Block:
             e = back[cells]
             on_path[e] = True
             cells = src[e]
-            cells = cells[cells >= self._rows]  # diagonal 0 holds the start cells
-        # edges are stored by row, then source cell row-major, and the cells
-        # of a path rise in that order: edge order is path order
-        edges = np.flatnonzero(on_path)
-        ids = cid[edges].tolist()
-        ends = np.searchsorted(edges, self._edge_base[reached + 1]).tolist()
-        paths: list[list[int] | None] = [None] * self._rows
+            cells = cells[cells >= len(self._m)]  # layer 0 holds the start cells
+        # in row order a row's edges come layer by layer: path order
+        steps = np.flatnonzero(on_path[self._by_row])
+        ids = cid[self._by_row[steps]].tolist()
+        ends = np.searchsorted(steps, self._edge_base[reached + 1]).tolist()
+        paths: list[list[int] | None] = [None] * len(self._m)
         for r, lo, hi in zip(reached.tolist(), [0] + ends, ends):
             paths[r] = ids[lo:hi]
         return paths
@@ -357,8 +336,10 @@ class _Block:
 class _Lattices:
     """The chunk lattices of all training rows, compiled in blocks of
     _BLOCK_ROWS rows so that the arrays of one pass stay bounded, with chunk
-    ids shared by all blocks. Counts add up block by block in row order
-    (np.add.at adds in index order), as one pass over all rows would."""
+    ids shared by all blocks. Every block lays out its layers before any
+    edge is made, so that the edges of all blocks fill one array per field.
+    Counts add up block by block in row order (np.add.at adds in index
+    order), as one pass over all rows would."""
 
     def __init__(self, rows: list[tuple[tuple[str, ...], str]]):
         seg_ids: dict[str, int] = {}
@@ -371,21 +352,17 @@ class _Lattices:
                 char_ids.setdefault(c, len(char_ids))
             for k in range(len(graph) - 1):
                 pair_ids.setdefault(graph[k:k + 2], len(pair_ids))
-        blocks = []
+        self._blocks = []
         for b in range(0, len(rows), _BLOCK_ROWS):
             distinct: dict[tuple[tuple[str, ...], str], int] = {}
             copies = [distinct.setdefault(row, len(distinct)) for row in rows[b:b + _BLOCK_ROWS]]
-            blocks.append((list(distinct), copies))
-        templates = {shape: _lattice_edges(*shape)
-                     for shape in {(len(segs), len(graph)) for segs, graph in rows}}
-        ends = np.cumsum([0] + [sum(len(templates[len(segs), len(graph)][0])
-                                    for segs, graph in distinct) for distinct, _ in blocks])
+            self._blocks.append(_Block(list(distinct), copies))
+        ends = np.cumsum([0] + [block.n_edges for block in self._blocks])
         # one allocation per edge field for all blocks: many block-sized
         # arrays land in the C heap, which keeps their pages after the fit
-        fields = [np.empty(int(ends[-1]), dtype=np.int32) for _ in range(5)]
-        self._blocks = [_Block(distinct, copies, seg_ids, char_ids, pair_ids, templates,
-                               [f[lo:hi] for f in fields])
-                        for (distinct, copies), lo, hi in zip(blocks, ends[:-1], ends[1:])]
+        fields = [np.empty(int(ends[-1]), dtype=np.int32) for _ in range(4)]
+        for block, lo, hi in zip(self._blocks, ends[:-1], ends[1:]):
+            block.compile(seg_ids, char_ids, pair_ids, [f[lo:hi] for f in fields])
         self._codes = np.unique(np.concatenate([np.zeros(0, dtype=np.int64)]
                                                + [block.codes for block in self._blocks]))
         for block in self._blocks:
@@ -816,6 +793,11 @@ def train_tagged(
     return JointModel(order, tokens, counts, stats)
 
 
+def stack_width(n_best: int) -> int:
+    """The number of hypotheses a stack of beam_decode keeps by default."""
+    return 3 * n_best
+
+
 def beam_decode(
     model: JointModel,
     tag: str,
@@ -832,9 +814,9 @@ def beam_decode(
     Surfaces are bounded by 3 x segments + 5 characters, and EOS is paid on
     the last stack.
 
-    A stack keeps the beam_width (3 x n_best by default) best hypotheses,
-    ties broken by surface, then state (the histogram pruning of stack
-    decoders; Koehn 2004). Each hypothesis reads its chunks'
+    A stack keeps the beam_width (stack_width(n_best) by default) best
+    hypotheses, ties broken by surface, then state (the histogram pruning
+    of stack decoders; Koehn 2004). Each hypothesis reads its chunks'
     log-probabilities, sorted, from the model's cache for its state and
     segment, and one lazy merge of those lists builds only the hypotheses
     that can enter the stack.
@@ -847,7 +829,7 @@ def beam_decode(
         raise ValueError("n_best must be >= 1")
     if not ipa.segments:
         raise EmptyInputError("cannot decode an empty transcription")
-    width = 3 * n_best if beam_width is None else beam_width
+    width = stack_width(n_best) if beam_width is None else beam_width
     if width < 1:
         raise ValueError("beam_width must be >= 1")
     segs = tuple(seg.text for seg in ipa.segments)

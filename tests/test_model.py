@@ -279,19 +279,61 @@ def test_viterbi_matches_reference_across_blocks(monkeypatch, block_rows):
     _assert_viterbi_matches_reference(rows, iterations=3, min_prob=1e-3)
 
 
-def test_fit_does_not_underflow_on_a_long_row():
+@pytest.mark.parametrize("pairs", [[], [(("a",), "aaaaa"), ((), "a"), (("p", "a"), "")]])
+def test_fit_without_usable_rows(pairs):
+    aligner = ChunkAligner()
+    stats = aligner.fit(pairs)
+    assert stats == {"pairs": len(pairs), "ratio_skipped": len(pairs), "unalignable": 0,
+                     "log_likelihood": []}
+    assert aligner.probs == {}
+    assert aligner.viterbi() == [None] * len(pairs)
+
+
+def test_train_without_usable_rows_is_an_empty_lexicon():
+    rows = [("<eo>", IpaString.from_segments(map(IpaSegment, segs)), graph)
+            for segs, graph in [(("a",), "aaaaa"), ((), "a"), (("p", "a"), "")]]
+    with pytest.raises(EmptyLexiconError):
+        train_tagged(rows)
+
+
+def test_fit_does_not_underflow_on_a_long_row(monkeypatch):
     pairs = _pairs(shallow_lexicon(300, seed=21))
     segs = tuple(s for row, _ in pairs[:70] for s in row)
     graph = "".join(g for _, g in pairs[:70])
     assert len(segs) > 300
-    aligner = ChunkAligner()
-    stats = aligner.fit(pairs + [(segs, graph)])
-    assert stats["unalignable"] == 0
-    assert all(math.isfinite(v) for v in stats["log_likelihood"])
-    assert all(math.isfinite(p) and p > 0.0 for p in aligner.probs.values())
-    chunks = aligner.viterbi()[-1]
-    assert tuple(s for phones, _ in chunks for s in phones) == segs
-    assert "".join(letters for _, letters in chunks) == graph
+    results = []
+    # the long row shares a block with the 300 short rows, then sits alone
+    # in one: no row's results may depend on the rows beside it
+    for block_rows in (1024, len(pairs)):
+        monkeypatch.setattr(polyipa.model, "_BLOCK_ROWS", block_rows)
+        aligner = ChunkAligner()
+        stats = aligner.fit(pairs + [(segs, graph)])
+        assert stats["unalignable"] == 0
+        assert all(math.isfinite(v) for v in stats["log_likelihood"])
+        assert all(math.isfinite(p) and p > 0.0 for p in aligner.probs.values())
+        chunkings = aligner.viterbi()
+        chunks = chunkings[-1]
+        assert tuple(s for phones, _ in chunks for s in phones) == segs
+        assert "".join(letters for _, letters in chunks) == graph
+        results.append((list(aligner.probs.items()), chunkings))
+    assert results[0] == results[1]
+
+
+def test_rows_of_one_block_keep_their_own_scale(monkeypatch):
+    # after the first E step a chunk of the common row weighs about 1/2 and
+    # one of the rare row, each seen once, about 1/600: 300 phonemes in,
+    # their alphas lie some 2 ** 2400 apart, so one scale for both rows
+    # would flush the rare row to 0
+    common = (("a",) * 300, "a" * 300)
+    rare = (tuple(f"s{k}" for k in range(300)), "b" * 300)
+    results = []
+    for block_rows in (2, 1):
+        monkeypatch.setattr(polyipa.model, "_BLOCK_ROWS", block_rows)
+        aligner = ChunkAligner()
+        assert aligner.fit([common, rare])["unalignable"] == 0
+        results.append((list(aligner.probs.items()), aligner.viterbi()))
+    assert results[0] == results[1]
+    assert None not in results[0][1]
 
 
 # training and probabilities
