@@ -227,12 +227,15 @@ def stratify(items: Iterable[EvalItem], ns: tuple[int, ...] = (1, 3, 5)) -> Eval
     computed from the pooled items, which makes its means the sample-count-
     weighted means of the per-language rows. Rows are ordered by descending
     n_samples, ties by language code. The recorded beam position is taken at
-    the widest N; top-N CER is the best CER over the first N candidates.
+    the widest N; top-N WER and CER are the best WER and CER over the first N
+    candidates.
     """
     items = list(items)
     if not items:
         raise EmptyInputError("no evaluation items")
     ns = tuple(sorted(set(ns)))
+    if min(ns, default=0) < 1:
+        raise ValueError("n must be >= 1")
     per_lang: dict[str, _Scores] = {}
     pooled = _Scores()
     widest = max(ns)
@@ -242,17 +245,19 @@ def stratify(items: Iterable[EvalItem], ns: tuple[int, ...] = (1, 3, 5)) -> Eval
         top1 = item.candidates[0].grapheme
         targets = (per_lang.setdefault(item.lang, _Scores()), pooled)
         cers = [cer(item.reference, c.grapheme) for c in item.candidates[:widest]]
+        wers = [word_error_rate(item.reference, c.grapheme) for c in item.candidates[:widest]]
         item_bleu = char_bleu(item.reference, top1)
         item_exact = float(exact_match(item.reference, top1))
-        wer_by_n = {n: top_n_wer(item, n) for n in ns}
+        # 1-based rank of the first candidate with the best WER, as top_n_wer
+        position = float(wers.index(min(wers)) + 1)
         for sc in targets:
             sc.cers.append(cers[0])
             sc.bleus.append(item_bleu)
             sc.exacts.append(item_exact)
             for n in ns:
-                sc.wers.setdefault(n, []).append(wer_by_n[n][0])
+                sc.wers.setdefault(n, []).append(min(wers[:n]))
                 sc.top_cers.setdefault(n, []).append(min(cers[:n]))
-            sc.positions.append(float(wer_by_n[widest][1]))
+            sc.positions.append(position)
     rows = [_score_row(lang, sc, ns) for lang, sc in per_lang.items()]
     rows.sort(key=lambda r: (-r.n_samples, r.lang))
     overall = _score_row("overall", pooled, ns)

@@ -393,26 +393,22 @@ class _Lattices:
         never = np.iinfo(np.int64).max
         first = np.full(self.n_chunks, never)
         edges = 0
-        log_z = []
+        zs = []
         for block in self._blocks:
-            cid, post, z, z_exp = block.posteriors(weights)
+            cid, post, *z = block.posteriors(weights)
             np.add.at(counts, cid, post)
             positive = np.flatnonzero(post > 0.0)
             np.minimum.at(first, cid[positive], edges + positive)
             edges += len(post)
-            log_z.append(_log_z(z, z_exp))
+            zs.append(z)
         order = np.argsort(first)[:np.count_nonzero(first < never)]
-        return counts, order, sum(log_z)
+        return counts, order, _log_z(zs)
 
     def log_likelihood(self, weights: np.ndarray) -> tuple[float, int]:
         """Sum of log z over the rows with a path under chunk weights, and
         the number of rows without one."""
-        log_z = unalignable = 0
-        for block in self._blocks:
-            z, z_exp = block.z(weights)
-            log_z += _log_z(z, z_exp)
-            unalignable += int(np.count_nonzero(z <= 0.0))
-        return log_z, unalignable
+        zs = [block.z(weights) for block in self._blocks]
+        return _log_z(zs), sum(int(np.count_nonzero(z <= 0.0)) for z, _ in zs)
 
     def best_chunkings(self, logs: np.ndarray,
                        chunks: dict[int, Chunk]) -> list[tuple[Chunk, ...] | None]:
@@ -427,8 +423,12 @@ class _Lattices:
         return result
 
 
-def _log_z(z: np.ndarray, z_exp: np.ndarray) -> float:
-    """Sum of log(z * 2 ** z_exp) over the rows with z > 0."""
+def _log_z(zs: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    """Sum of log(z * 2 ** z_exp) over the rows with z > 0 of every block's
+    (z, z_exp), summed as one array so that the blocks' size does not change
+    the rounding."""
+    z = np.concatenate([np.zeros(0)] + [z for z, _ in zs])
+    z_exp = np.concatenate([np.zeros(0, dtype=np.int64)] + [z_exp for _, z_exp in zs])
     aligned = z > 0.0
     return float(np.log(z[aligned]).sum() + z_exp[aligned].sum() * math.log(2.0))
 
@@ -601,8 +601,8 @@ class JointModel:
         # are the tokens of a window below or single tokens, so the model
         # bounds it
         self._probs_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, ...]] = {}
-        # decode's window per segment, per tag id and None for chunk_index,
-        # each scored for all queries
+        # decode's window per segment, per tag id and None for untagged
+        # decoding, each scored for all queries
         self._indexes: dict[int | None, dict[str, _Window]] = {}
 
     def prob(self, token: int, context: Sequence[int]) -> float:
@@ -638,14 +638,15 @@ class JointModel:
         return value
 
     def _index(self, tag_id: int | None) -> dict[str, _Window]:
-        """The window of every segment with chunks counted after the context
-        (tag_id,), or with chunks in chunk_index for None."""
+        """The window of every trained segment: its chunks counted after the
+        context (tag_id,) where there are any, and all its chunks otherwise
+        and for None."""
         index = self._indexes.get(tag_id)
         if index is None:
-            trained = self.vocab if tag_id is None else self.counts[(tag_id,)]
+            trained = self.counts.get((tag_id,), ())
             index = self._indexes[tag_id] = {
-                seg: _Window(kept) for seg, group in self.chunk_index.items()
-                if (kept := [(tok, letters) for tok, letters in group if tok in trained])}
+                seg: _Window([(tok, letters) for tok, letters in group if tok in trained] or group)
+                for seg, group in self.chunk_index.items()}
         return index
 
     def _expansions(self, context: tuple[int, ...],
@@ -810,9 +811,8 @@ def beam_decode(
     Stack q holds hypotheses that have consumed q input segments, each a
     log-probability, a state (the longest trained context of its history)
     and a surface; of hypotheses with one state and surface only the best
-    is kept. Stack q is filled from stack q - 1 by the chunks of segment q.
-    Surfaces are bounded by 3 x segments + 5 characters, and EOS is paid on
-    the last stack.
+    is kept. Stack q is filled from stack q - 1 by the chunks of segment q,
+    and EOS is paid on the last stack.
 
     A stack keeps the beam_width (stack_width(n_best) by default) best
     hypotheses, ties broken by surface, then state (the histogram pruning
@@ -821,9 +821,10 @@ def beam_decode(
     segment, and one lazy merge of those lists builds only the hypotheses
     that can enter the stack.
 
-    Only the chunks trained under the tag are offered, and all trained
-    chunks where those decode nothing. An unseen tag warns and decodes
-    with the empty context and all trained chunks.
+    At each position the chunks trained under the tag for its segment are
+    offered, and all trained chunks of the segment where the tag has none;
+    a segment without any trained chunk decodes to nothing. An unseen tag
+    warns and decodes with the empty context and all trained chunks.
     """
     if n_best < 1:
         raise ValueError("n_best must be >= 1")
@@ -842,11 +843,9 @@ def beam_decode(
     else:
         warnings.warn(f"tag {tag!r} not seen in training; decoding untagged",
                       UnknownTagWarning, stacklevel=2)
-    if tag_id is not None and (tag_id,) in model.counts:
-        cands = _stack_search(model, model._index(tag_id), segs, start, n_best, width)
-        if cands:
-            return cands
-    return _stack_search(model, model._index(None), segs, start, n_best, width)
+    # an unseen tag, or any tag of an order-1 model, has no context (tag_id,)
+    index = model._index(tag_id if (tag_id,) in model.counts else None)
+    return _stack_search(model, index, segs, start, n_best, width)
 
 
 # hypothesis: (log-probability, state, surface)
@@ -855,13 +854,12 @@ _Hyp = tuple[float, tuple[int, ...], str]
 
 def _stack_search(model: JointModel, index: dict[str, _Window], segs: tuple[str, ...],
                   start: tuple[int, ...], n_best: int, width: int) -> list[Candidate]:
-    max_out = 3 * len(segs) + 5
     stack: list[_Hyp] = [(0.0, start, "")]
     for seg in segs:
         window = index.get(seg)
         if window is None:
             return []
-        stack = _admit(model, [_fitting(hyp, model._expansions(hyp[1], window), max_out)
+        stack = _admit(model, [_extended(hyp, model._expansions(hyp[1], window))
                                for hyp in stack], width)
     eos = (model.ids[EOS],)
     final: dict[str, float] = {}
@@ -873,14 +871,12 @@ def _stack_search(model: JointModel, index: dict[str, _Window], segs: tuple[str,
     return [Candidate(surface, lp) for surface, lp in ranked]
 
 
-def _fitting(hyp: _Hyp, rows, max_out: int):
-    """(log_prob, state, token, surface) of hyp's expansions by rows whose
-    surface fits in max_out characters, in row order."""
+def _extended(hyp: _Hyp, rows):
+    """(log_prob, state, token, surface) of hyp's expansions by rows, in row
+    order."""
     lp, state, out = hyp
-    room = max_out - len(out)
     for s, tok, letters in rows:
-        if len(letters) <= room:
-            yield lp + s, state, tok, out + letters
+        yield lp + s, state, tok, out + letters
 
 
 def _admit(model: JointModel, sources: list, width: int) -> list[_Hyp]:

@@ -428,18 +428,18 @@ def test_criterion_10_multilingual_corpus(multilingual_run):
 
 def test_every_trained_segment_has_a_chunk_under_its_tag(multilingual_run):
     # every chunk consumes one segment, so each segment of an aligned row
-    # trains a chunk under the row's tag, and no test query needs the
-    # all-chunks fallback
+    # trains a chunk under the row's tag
     splits, _ = multilingual_run
     train_lex = Lexicon.read_tsv(splits / "train.tsv")
     model = train(train_lex, order=6)
     assert model.training_stats["alignment_failures"] == 0
+    segments = {tag: {model.tokens[tok][1][0] for tok in model.counts[(model.ids[("tag", tag)],)]
+                      if model.tokens[tok][0] == "chunk"} for tag in model.tags}
     for entry in train_lex:
-        index = model._index(model.ids[("tag", lang_script_tag(entry))])
-        assert all(seg.text in index for seg in entry.ipa.segments), entry
+        trained = segments[lang_script_tag(entry)]
+        assert all(seg.text in trained for seg in entry.ipa.segments), entry
     for entry in Lexicon.read_tsv(splits / "test.tsv"):
         assert beam_decode(model, lang_script_tag(entry), entry.ipa, n_best=5), entry
-    assert None not in model._indexes
 
 
 # criterion 11: a deep orthography, whose spelling depends on context, is learned

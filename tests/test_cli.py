@@ -213,6 +213,23 @@ def test_predict_reports_empty_decodes(pipeline, tmp_path, capsys):
     assert lines and all(line.split("\t")[1] == "pato" for line in lines)
 
 
+def test_predict_keeps_the_tags_chunks_beside_an_untrained_segment(tmp_path, monkeypatch,
+                                                                    capsys):
+    # <de> never trained ʒ, so only that position takes <ru>'s chunk; a and
+    # k keep <de>'s letters, not the Cyrillic к of <ru>
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("de\tkat\tkat\nde\ttak\ttak\nru\tжук\tʒuk\n", encoding="utf-8")
+    model = tmp_path / "m.json"
+    assert run_cli(["train", "--input", str(lex), "--output", str(model)]) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO("<de>\tʒak\n"))
+    cands = tmp_path / "c.tsv"
+    assert run_cli(["predict", "--model", str(model), "--input", "-", "--n-best", "5",
+                    "--output", str(cands)]) == 0
+    assert "0 without candidates" in capsys.readouterr().out
+    rows = [line.split("\t") for line in cands.read_text(encoding="utf-8").splitlines()]
+    assert [row[:4] for row in rows] == [["<de>", "ʒak", "1", "жak"]]
+
+
 def test_train_reports_em_counters(pipeline, tmp_path, capsys):
     assert run_cli(["train", "--input", str(pipeline["splits"] / "train.tsv"),
                     "--order", "3", "--output", str(tmp_path / "m")]) == 0

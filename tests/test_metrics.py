@@ -7,6 +7,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from polyipa import (
@@ -196,6 +197,24 @@ def test_stratify_beam_position_uses_widest_n():
     assert report.overall.mean_best_beam_position == 2.0
     narrow = stratify([item], ns=(1,))
     assert narrow.overall.mean_best_beam_position == 1.0
+
+
+def test_stratify_wer_matches_top_n_wer():
+    # stratify scores each candidate once; its top-n WER and beam position
+    # must be top_n_wer's, ties going to the first best candidate
+    rng = random.Random(13)
+    words = ["kat", "kot", "mit", "mat", "ka t", "k at"]
+    items = [_item(rng.choice(words), [rng.choice(words) for _ in range(rng.randint(1, 6))])
+             for _ in range(200)]
+    ns = (1, 2, 3, 5)
+    report = stratify(items, ns=ns)
+    for n in ns:
+        assert report.overall.top_wer[n] == float(np.mean([top_n_wer(i, n)[0] for i in items]))
+    assert report.overall.mean_best_beam_position == float(
+        np.mean([float(top_n_wer(i, 5)[1]) for i in items]))
+    for bad in ((0, 1), (-1, 3), ()):
+        with pytest.raises(ValueError):
+            stratify(items, ns=bad)
 
 
 def test_stratify_rejects_empty_input():

@@ -303,7 +303,8 @@ def test_fit_does_not_underflow_on_a_long_row(monkeypatch):
     assert len(segs) > 300
     results = []
     # the long row shares a block with the 300 short rows, then sits alone
-    # in one: no row's results may depend on the rows beside it
+    # in one: no row's results, nor the log-likelihood, may depend on the
+    # rows beside it
     for block_rows in (1024, len(pairs)):
         monkeypatch.setattr(polyipa.model, "_BLOCK_ROWS", block_rows)
         aligner = ChunkAligner()
@@ -315,7 +316,7 @@ def test_fit_does_not_underflow_on_a_long_row(monkeypatch):
         chunks = chunkings[-1]
         assert tuple(s for phones, _ in chunks for s in phones) == segs
         assert "".join(letters for _, letters in chunks) == graph
-        results.append((list(aligner.probs.items()), chunkings))
+        results.append((list(aligner.probs.items()), chunkings, stats["log_likelihood"]))
     assert results[0] == results[1]
 
 
@@ -474,30 +475,26 @@ def test_decode_caches_trained_contexts_only():
                   + [PronEntry("de", "bach", parse_ipa("bax"))])
     model = train(lex, order=3)
     assert model.tags == {"<eo>", "<de>"}
+    assert "w" in [letters for _, letters in model.chunk_index["v"]] and "x" in model.chunk_index
     probes = [parse_ipa(probe) for probe in ("pato", "ʃilo", "t͡ʃama", "kemi", "vasi", "xa")]
     for tag in sorted(model.tags):
         for ipa in probes:
             assert beam_decode(model, tag, ipa, n_best=5)
+    # <eo> spells v only as v, and x, which only <de> trained, as <de> does
+    assert {c.grapheme for c in beam_decode(model, "<eo>", probes[4], 5)} == {"vasi"}
+    assert {c.grapheme for c in beam_decode(model, "<eo>", probes[5], 5)} == {"cha"}
     groups = {window.tokens for index in model._indexes.values() for window in index.values()}
-    # one index per tag, and all chunks (None) where a tag's chunks decode
-    # nothing: <eo> has no chunk of x
-    assert model._probs_cache and set(model._indexes) == {model.ids[("tag", tag)]
-                                                          for tag in model.tags} | {None}
+    assert model._probs_cache
     for ctx, tokens in model._probs_cache:
         assert ctx in model.counts
         assert tokens in groups or (len(tokens) == 1 and tokens[0] in model.vocab)
-    for tag_id, index in model._indexes.items():
-        # a tag's index holds only chunks counted after that tag, each under
-        # its own segment
-        trained = model.vocab if tag_id is None else model.counts[(tag_id,)]
+    for index in model._indexes.values():
+        # every window holds chunks of its own segment, in chunk_index order
         for seg, window in index.items():
-            assert all(tok in trained and model.tokens[tok][1] == (seg,) for tok in window.tokens)
+            group = [tok for tok, _ in model.chunk_index[seg]]
+            assert list(window.tokens) == [tok for tok in group if tok in window.tokens]
             assert all(ctx in model.counts for ctx in window.scored)
         assert any(window.scored for window in index.values())
-    # <de>'s w and x are in the model, not in <eo>'s index
-    eo = model._indexes[model.ids[("tag", "<eo>")]]
-    assert "w" in [letters for _, letters in model.chunk_index["v"]] and "x" in model.chunk_index
-    assert eo["v"].letters == ("v",) and "x" not in eo
     sizes = _cache_sizes(model)
     for tag in sorted(model.tags):
         for ipa in probes:
@@ -602,11 +599,10 @@ def test_default_width_returns_a_full_n_best_list(stream, probes):
                 (probe, n_best)
 
 
-def test_decode_matches_reference_beam_at_the_length_bound():
+def test_decode_matches_reference_beam_on_the_longest_surfaces():
     # every word also spelled with each letter four times, so that every
-    # segment spells one letter or four. A surface of four letters on all
-    # 6 segments of patapa passes 3 x segments + 5 letters, the longest
-    # surface decode may build, so expansions stop fitting there
+    # segment spells one letter or four: all 2 ** 6 surfaces of patapa
+    # decode, up to four letters on every segment
     rows = []
     for word in _identity_words(150, seed=31):
         rows.append(("<eo>", parse_ipa(word), word))
@@ -615,9 +611,9 @@ def test_decode_matches_reference_beam_at_the_length_bound():
         model = train_tagged(rows, order=order)
         assert [letters for _, letters in model.chunk_index["p"]] == ["p", "pppp"]
         surfaces = _assert_decode_matches_reference(model, "<eo>", ("a", "pat", "patapa"))
-        assert max(map(len, surfaces["pat"])) == 12, order  # under the bound, 3 x 3 + 5
-        assert len(surfaces["patapa"]) == 2 ** 6 - 1, order
-        assert max(map(len, surfaces["patapa"])) == 21, order  # 24 > 3 x 6 + 5
+        assert max(map(len, surfaces["pat"])) == 12, order
+        assert len(surfaces["patapa"]) == 2 ** 6, order
+        assert max(map(len, surfaces["patapa"])) == 24, order
 
 
 def test_decode_matches_reference_beam_for_an_unseen_tag():
@@ -630,9 +626,10 @@ def test_decode_matches_reference_beam_for_an_unseen_tag():
     assert len(surfaces["kivi"]) == 16
 
 
-def test_decode_matches_reference_beam_with_tag_restriction_and_fallback():
+def test_decode_matches_reference_beam_with_per_position_chunk_sets():
     # <bb> spells v as w and alone has ʒ: under <aa> a query decodes inside
-    # <aa>'s chunks, and one with ʒ falls back to all chunks
+    # <aa>'s chunks, and ʒ, which <aa> never trained, takes <bb>'s chunk
+    # while v keeps <aa>'s
     rows = []
     for graph, ipa in shallow_words(150, seed=22):
         rows.append(("<bb>", parse_ipa(ipa), graph.replace("v", "w")))
@@ -641,12 +638,9 @@ def test_decode_matches_reference_beam_with_tag_restriction_and_fallback():
     model = train_tagged(rows, order=3)
     assert [letters for _, letters in model.chunk_index["v"]] == ["v", "w"]
     assert "ʒ" in model.chunk_index
-    aa = model._index(model.ids[("tag", "<aa>")])
-    assert "ʒ" not in aa and aa["v"].letters == ("v",)
     surfaces = _assert_decode_matches_reference(model, "<aa>", ("vasi", "ʒavo"))
-    assert set(surfaces["vasi"]) == {"vasi"}  # restricted: no w
-    assert "zhawo" in surfaces["ʒavo"] and "zhavo" in surfaces["ʒavo"]  # the fallback
-    assert beam_decode(model, "<aa>", parse_ipa("ʒavo"), 1)[0].grapheme == "zhavo"
+    assert set(surfaces["vasi"]) == {"vasi"}
+    assert set(surfaces["ʒavo"]) == {"zhavo"}
     _assert_decode_matches_reference(model, "<bb>", ("vasi", "ʒavo"))
 
 
